@@ -27,8 +27,7 @@
 //! with a pluggable driver through the same queue and cache (see
 //! `bench::exp::search`).
 //!
-//! Figure names resolve through the registry in `bench::exp::figures`;
-//! legacy binary names (`fig09_avg_exec`, …) are accepted as aliases.
+//! Figure names resolve through the registry in `bench::exp::figures`.
 //! Every run prints the figure's text report to stdout (byte-identical to
 //! the pre-driver binaries) and writes a versioned `RunRecord` JSON with
 //! the per-cell values, seeds, normalization reference and provenance

@@ -4,7 +4,7 @@
 //! figure. The store memoizes it on disk: a [`rl_arb::TrainRecipe`] is a
 //! pure-data description of one training run, its FNV-1a content hash
 //! names the artifact file (`<dir>/<hash>.ckpt.json`, a
-//! [`nn_mlp::Checkpoint`]), and [`ArtifactStore::resolve`] either loads
+//! [`rl_arb::Checkpoint`]), and [`ArtifactStore::resolve`] either loads
 //! that checkpoint (zero training steps) or trains, saves and returns it.
 //!
 //! The rebuilt policy is bit-identical to freezing the just-trained agent
@@ -15,9 +15,9 @@
 
 use std::path::{Path, PathBuf};
 
-use nn_mlp::Checkpoint;
 use rl_arb::{
-    checkpoint_from_outcome, policy_from_checkpoint, NnPolicyArbiter, TrainRecipe, Trainer,
+    checkpoint_from_outcome, policy_from_checkpoint, Checkpoint, NnPolicyArbiter, TrainRecipe,
+    Trainer,
 };
 
 use super::record::git_describe;

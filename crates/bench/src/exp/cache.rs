@@ -16,11 +16,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use noc_sim::codec::{fnv1a64, Json, ObjExt};
 use rl_arb::InferenceMode;
 
 use super::backend::CellRecord;
-use super::record::{cell_from_json, cell_to_json, Json, ObjExt};
-use super::spec::{fnv1a64, ScenarioSpec, TierParams};
+use super::record::{cell_from_json, cell_to_json};
+use super::spec::{ScenarioSpec, TierParams};
 use crate::CliArgs;
 
 /// Version stamp of the on-disk cache-entry schema *and* of the

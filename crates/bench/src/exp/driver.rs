@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 
 use noc_arbiters::PolicyKind;
+use noc_sim::codec::fnv1a64;
 use noc_sim::{FaultPlan, Topology};
 use rl_arb::{progress, ApuTrainSpec, NnPolicyArbiter, TrainRecipe, TrainSpec};
 
@@ -212,7 +213,7 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
                     cells: out.cells,
                     table: out.table,
                 };
-                write_record(&record, args, def.legacy_bin)?;
+                write_record(&record, args, def.output)?;
                 record
             }
             _ => unreachable!("plan kind follows def kind"),
@@ -233,18 +234,8 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
 fn custom_spec_hash(def: &FigureDef) -> String {
     format!(
         "{:016x}",
-        super::spec::fnv1a64(format!("custom:{}:{}", def.name, def.summary).as_bytes())
+        fnv1a64(format!("custom:{}:{}", def.name, def.summary).as_bytes())
     )
-}
-
-/// Entry point shared by the thin per-figure shim binaries: parse the
-/// common flags (no positionals) and run one fixed figure.
-pub fn shim_main(figure: &str) {
-    let args = CliArgs::parse();
-    if let Err(e) = run_figure(figure, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 fn write_record(record: &RunRecord, args: &CliArgs, basename: &str) -> Result<(), String> {
@@ -607,7 +598,7 @@ fn plan_rows(spec: &ExperimentSpec, params: &TierParams, args: &CliArgs) -> Vec<
             // per-cell sweep seed — so all seeds and policies of a row see
             // the same fault environment.
             let plan: Option<FaultPlan> = if intensity > 0.0 {
-                let plan_seed = args.seed ^ super::spec::fnv1a64(
+                let plan_seed = args.seed ^ fnv1a64(
                     format!("{}@f{intensity:.2}", scenario.label()).as_bytes(),
                 );
                 // A positive quiet tail shortens the plan horizon so all
@@ -920,12 +911,6 @@ fn fault_horizon(scenario: &ScenarioSpec, params: &TierParams) -> u64 {
     }
 }
 
-/// Looks up a figure definition (used by tests; `run_figure` resolves
-/// internally).
-pub fn resolve(name: &str) -> Option<&'static FigureDef> {
-    figures::find(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,15 +920,6 @@ mod tests {
         let err = run_figure("fig99", &CliArgs::default()).unwrap_err();
         assert!(err.contains("unknown figure"), "got: {err}");
         assert!(err.contains("fig05"), "error should list known figures: {err}");
-    }
-
-    #[test]
-    fn legacy_bin_names_resolve_to_the_same_figures() {
-        for def in figures::all() {
-            let by_name = figures::find(def.name).expect("canonical name resolves");
-            let by_bin = figures::find(def.legacy_bin).expect("legacy bin name resolves");
-            assert!(std::ptr::eq(by_name, by_bin), "{} aliases diverge", def.name);
-        }
     }
 
     #[test]

@@ -32,10 +32,10 @@ use crate::{geomean, render_series, render_table, train_apu_agent, CliArgs};
 pub struct FigureDef {
     /// Canonical driver name (`fig05`, `table3`, …).
     pub name: &'static str,
-    /// The legacy binary name — accepted as an alias, and used as the
-    /// output basename so regenerated artifacts land on the checked-in
+    /// The output-file stem (`<out-dir>/<output>.json`, `.csv`), kept
+    /// apart from `name` so regenerated files land on the checked-in
     /// `results/` paths.
-    pub legacy_bin: &'static str,
+    pub output: &'static str,
     /// One-line description for `repro list`.
     pub summary: &'static str,
     /// How the figure runs.
@@ -91,9 +91,9 @@ pub fn all() -> &'static [FigureDef] {
     &FIGURES
 }
 
-/// Resolves a figure by canonical name or legacy binary name.
+/// Resolves a figure by name.
 pub fn find(name: &str) -> Option<&'static FigureDef> {
-    FIGURES.iter().find(|d| d.name == name || d.legacy_bin == name)
+    FIGURES.iter().find(|d| d.name == name)
 }
 
 /// The canonical figure names.
@@ -104,67 +104,67 @@ pub fn names() -> Vec<&'static str> {
 static FIGURES: [FigureDef; 21] = [
     FigureDef {
         name: "fig04",
-        legacy_bin: "fig04_heatmap",
+        output: "fig04_heatmap",
         summary: "hidden-layer weight heatmap of the 4x4 synthetic agent",
         kind: FigureKind::Custom(fig04),
     },
     FigureDef {
         name: "fig05",
-        legacy_bin: "fig05_synthetic",
+        output: "fig05_synthetic",
         summary: "synthetic-mesh latency, four policies, normalized to Global-age",
         kind: FigureKind::Matrix { spec: spec_fig05, render: render_fig05, csv: false },
     },
     FigureDef {
         name: "fig07",
-        legacy_bin: "fig07_apu_heatmap",
+        output: "fig07_apu_heatmap",
         summary: "hidden-layer weight heatmap of the APU (bfs) agent",
         kind: FigureKind::Custom(fig07),
     },
     FigureDef {
         name: "fig09",
-        legacy_bin: "fig09_avg_exec",
+        output: "fig09_avg_exec",
         summary: "normalized average execution time across the nine workloads",
         kind: FigureKind::Matrix { spec: spec_fig09, render: render_fig09, csv: true },
     },
     FigureDef {
         name: "fig10",
-        legacy_bin: "fig10_tail_exec",
+        output: "fig10_tail_exec",
         summary: "normalized tail execution time across the nine workloads",
         kind: FigureKind::Matrix { spec: spec_fig10, render: render_fig10, csv: true },
     },
     FigureDef {
         name: "fig11",
-        legacy_bin: "fig11_mixed",
+        output: "fig11_mixed",
         summary: "mixed-application scenarios, normalized avg execution time",
         kind: FigureKind::Matrix { spec: spec_fig11, render: render_fig11, csv: true },
     },
     FigureDef {
         name: "fig12",
-        legacy_bin: "fig12_rewards",
+        output: "fig12_rewards",
         summary: "training curves under the three reward functions",
         kind: FigureKind::Custom(fig12),
     },
     FigureDef {
         name: "fig13",
-        legacy_bin: "fig13_features",
+        output: "fig13_features",
         summary: "training curves per feature set, plus hill-climbing selection",
         kind: FigureKind::Custom(fig13),
     },
     FigureDef {
         name: "table3",
-        legacy_bin: "table3_synthesis",
+        output: "table3_synthesis",
         summary: "analytical 32nm synthesis results (latency/area/power)",
         kind: FigureKind::Custom(table3_figure),
     },
     FigureDef {
         name: "load_sweep",
-        legacy_bin: "load_sweep",
+        output: "load_sweep",
         summary: "latency vs offered load, 4x4 uniform random",
         kind: FigureKind::Matrix { spec: spec_load_sweep, render: render_load_sweep, csv: true },
     },
     FigureDef {
         name: "extended_policies",
-        legacy_bin: "extended_policies",
+        output: "extended_policies",
         summary: "every policy in the library on one synthetic and one APU workload",
         kind: FigureKind::Matrix {
             spec: spec_extended_policies,
@@ -174,7 +174,7 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "ablation_defeature",
-        legacy_bin: "ablation_defeature",
+        output: "ablation_defeature",
         summary: "Algorithm 2 with the port / message-type conditions removed",
         kind: FigureKind::Matrix {
             spec: spec_ablation_defeature,
@@ -184,7 +184,7 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "ablation_routing",
-        legacy_bin: "ablation_routing",
+        output: "ablation_routing",
         summary: "policy ordering under X-Y vs west-first adaptive routing",
         kind: FigureKind::Matrix {
             spec: spec_ablation_routing,
@@ -194,19 +194,19 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "ablation_hparams",
-        legacy_bin: "ablation_hparams",
+        output: "ablation_hparams",
         summary: "agent hyperparameter ablation (paper vs tuned values)",
         kind: FigureKind::Custom(ablation_hparams),
     },
     FigureDef {
         name: "ablation_multi_agent",
-        legacy_bin: "ablation_multi_agent",
+        output: "ablation_multi_agent",
         summary: "one shared agent vs one agent per quadrant",
         kind: FigureKind::Custom(ablation_multi_agent),
     },
     FigureDef {
         name: "starvation_check",
-        legacy_bin: "starvation_check",
+        output: "starvation_check",
         summary: "starvation under feasible hotspot traffic (§6.4)",
         kind: FigureKind::Matrix {
             spec: spec_starvation_check,
@@ -216,7 +216,7 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "resilience",
-        legacy_bin: "resilience",
+        output: "resilience",
         summary: "graceful degradation under deterministic fault injection",
         kind: FigureKind::Matrix {
             spec: spec_resilience,
@@ -226,7 +226,7 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "selfheal",
-        legacy_bin: "selfheal",
+        output: "selfheal",
         summary: "self-healing: frozen vs online arbitration x static vs learned buffers x fault intensity",
         kind: FigureKind::Matrix {
             spec: spec_selfheal,
@@ -236,13 +236,13 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "conformance",
-        legacy_bin: "conformance",
+        output: "conformance",
         summary: "randomized invariant-checker conformance sweep over both simulators",
         kind: FigureKind::Custom(super::conformance::run),
     },
     FigureDef {
         name: "routing",
-        legacy_bin: "routing",
+        output: "routing",
         summary: "routing x topology x fault-intensity sweep (mesh/torus/ring/degraded)",
         kind: FigureKind::Matrix {
             spec: spec_routing,
@@ -252,7 +252,7 @@ static FIGURES: [FigureDef; 21] = [
     },
     FigureDef {
         name: "search",
-        legacy_bin: "search",
+        output: "search",
         summary: "design-space search (--driver hc|evo|random, --budget N): pareto front",
         kind: FigureKind::Custom(super::search::search_figure),
     },
@@ -1573,7 +1573,6 @@ mod tests {
         for def in all() {
             assert!(seen.insert(def.name), "duplicate figure name {}", def.name);
             assert!(find(def.name).is_some());
-            assert!(find(def.legacy_bin).is_some());
         }
         assert_eq!(all().len(), 21);
     }
@@ -1609,7 +1608,7 @@ mod tests {
             if let FigureKind::Matrix { spec, .. } = &def.kind {
                 let s = spec();
                 assert_eq!(s.figure, def.name, "spec figure name mismatch");
-                assert_eq!(s.output, def.legacy_bin, "spec output basename mismatch");
+                assert_eq!(s.output, def.output, "spec output basename mismatch");
                 assert!(!s.scenarios.is_empty(), "{}: no scenarios", def.name);
                 assert_eq!(s.hash_hex().len(), 16);
                 // Seed lists must be non-empty in both tiers.

@@ -9,11 +9,15 @@
 //! file.
 //!
 //! The build environment has no crates.io access, so serialization is a
-//! small hand-rolled JSON emitter plus a minimal recursive-descent parser
-//! (numbers keep their lexeme so `u64` seeds survive exactly).
+//! small hand-rolled emitter over the workspace codec ([`noc_sim::codec`]),
+//! whose [`Json`] tree keeps each number's lexeme so `u64` seeds survive
+//! exactly.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+pub use noc_sim::codec::Json;
+use noc_sim::codec::{json_num, json_str, ObjExt};
 
 use super::backend::CellRecord;
 
@@ -251,264 +255,6 @@ pub(crate) fn cell_from_json(c: &Json) -> Result<CellRecord, String> {
         cache: opt("cache")?,
         metrics,
     })
-}
-
-/// Escapes a string for JSON.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a finite f64 so it parses back to the same bits (`{:?}` is
-/// Rust's shortest round-trip float form); non-finite values become null.
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".into()
-    }
-}
-
-/// A minimal JSON value — just enough for the `RunRecord` schema.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, kept as its lexeme so integers survive exactly.
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses a JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn as_object(&self) -> Result<&Vec<(String, Json)>, String> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_array(&self) -> Result<&Vec<Json>, String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Result<String, String> {
-        match self {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(n) => n.parse().map_err(|_| format!("expected u64, got {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => n.parse().map_err(|_| format!("bad number {n}")),
-            Json::Null => Ok(f64::NAN),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Helper for object field lookup on the insertion-ordered pairs.
-pub(crate) trait ObjExt {
-    /// Looks up `key`, returning the first match.
-    fn get(&self, key: &str) -> Option<&Json>;
-}
-
-impl ObjExt for Vec<(String, Json)> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", ch as char, pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
-                pairs.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            if start == *pos {
-                return Err(format!("unexpected byte at {start}"));
-            }
-            let lexeme = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            lexeme
-                .parse::<f64>()
-                .map_err(|_| format!("bad number '{lexeme}'"))?;
-            Ok(Json::Num(lexeme.to_string()))
-        }
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

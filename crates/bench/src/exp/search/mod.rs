@@ -52,8 +52,10 @@ pub use space::{Axis, SearchPoint, SearchSpace};
 
 use std::fmt::Write as _;
 
+use noc_sim::codec::json_num;
+
 use super::figures::CustomOutput;
-use super::record::{json_num, Table};
+use super::record::Table;
 use crate::{render_table, CliArgs};
 
 /// The `search` figure: runs [`run_search`] with the CLI's `--driver` and

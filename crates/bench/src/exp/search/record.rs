@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use super::super::record::{json_num, json_str, Json, ObjExt};
+use noc_sim::codec::{json_num, json_str, Json, ObjExt};
 
 /// Version stamp of the `SearchRecord` JSON schema. Bump on any breaking
 /// change and teach consumers both shapes.

@@ -27,8 +27,10 @@ use rl_arb::progress;
 
 use super::super::cache::{CacheStats, ResultCache};
 use super::super::driver::{MatrixBatch, MatrixData};
-use super::super::record::{git_describe, json_num};
-use super::super::spec::{fnv1a64, Tier};
+use noc_sim::codec::{fnv1a64, json_num};
+
+use super::super::record::git_describe;
+use super::super::spec::Tier;
 use super::drivers::{driver_by_name, Evaluated, SearchDriver};
 use super::objective::{evaluate, pareto_front, ObjectiveVector};
 use super::record::{SearchPointRecord, SearchRecord, SEARCH_SCHEMA_VERSION};

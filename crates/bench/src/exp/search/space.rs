@@ -9,12 +9,12 @@
 //! evolutionary driver). Levels are small closed sets, so the whole space
 //! is finite, hashable and replayable.
 
+use noc_sim::codec::fnv1a64;
 use noc_sim::{Pattern, RoutingKind, SplitMix64};
 use rl_arb::RewardKind;
 
 use super::super::spec::{
-    fnv1a64, ExperimentSpec, Lineup, NnRecipe, NocParams, Normalize, ScenarioSpec, TierParams,
-    TopoSpec,
+    ExperimentSpec, Lineup, NnRecipe, NocParams, Normalize, ScenarioSpec, TierParams, TopoSpec,
 };
 
 /// One design point: a per-axis ordinal into each axis' level list, in

@@ -8,6 +8,7 @@
 //! to remote workers.
 
 use noc_arbiters::PolicyKind;
+use noc_sim::codec::fnv1a64;
 use noc_sim::{ConfigError, Pattern, RoutingKind, Topology, TopologyKind};
 
 /// Experiment size tier: `--quick` smoke or the full paper configuration.
@@ -425,8 +426,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// The seed list for a tier: `base, base+1, …` (the historical
-    /// [`crate::sweep_seeds`] convention).
+    /// The seed list for a tier: `base, base+1, …`.
     pub fn seed_list(&self, base: u64, tier: Tier) -> Vec<u64> {
         (0..self.params(tier).seeds as u64).map(|i| base + i).collect()
     }
@@ -449,15 +449,6 @@ impl ExperimentSpec {
     }
 }
 
-/// 64-bit FNV-1a.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,13 @@
 //! # bench — experiment harnesses behind every figure and table
 //!
-//! Each binary in `src/bin/` regenerates one figure or table of the paper
-//! (see `DESIGN.md` for the index); this library holds the shared
-//! machinery: latency/execution-time measurement loops, agent training
-//! helpers for the "NN" policy, and plain-text table/series rendering.
+//! The one binary, `repro` (`src/bin/repro.rs`), regenerates every figure
+//! and table of the paper by name through the experiment service in
+//! [`exp`] (see `DESIGN.md` for the index); this library holds the
+//! service and the shared machinery: the flag grammar, measurement loops,
+//! agent training helpers for the "NN" policy, and plain-text
+//! table/series rendering.
 //!
-//! All binaries accept `--quick` (shrink workloads for smoke runs),
+//! Every figure accepts `--quick` (shrink workloads for smoke runs),
 //! `--seed <n>`, `--threads <n>` (worker count for the parallel sweep
 //! engine in [`sweep`]; `--threads 1` reproduces the serial path
 //! bit-for-bit), and `--inference <f32|int8>` (numeric datapath for
@@ -105,7 +107,7 @@ pub const FLAG_REGISTRY: &[FlagSpec] = &[
     },
 ];
 
-/// The flag portion of every binary's usage line, generated from
+/// The flag portion of the usage line, generated from
 /// [`FLAG_REGISTRY`].
 pub fn usage_flags() -> String {
     FLAG_REGISTRY
@@ -118,7 +120,7 @@ pub fn usage_flags() -> String {
         .join(" ")
 }
 
-/// Command-line options shared by the `repro` driver and every figure shim.
+/// Command-line options of the `repro` driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
     /// Shrink workloads/epochs for a fast smoke run.
@@ -244,21 +246,6 @@ impl CliArgs {
         Ok((out, positionals))
     }
 
-    /// Parses the process arguments for a single-figure binary (flags only,
-    /// no positionals). On bad input prints the usage message to stderr and
-    /// exits with status 2 instead of panicking.
-    pub fn parse() -> Self {
-        let parsed = Self::parse_from(std::env::args().skip(1));
-        match parsed {
-            Ok((args, positionals)) if positionals.is_empty() => args,
-            Ok((_, positionals)) => usage_exit(&format!(
-                "unexpected argument '{}'",
-                positionals[0]
-            )),
-            Err(e) => usage_exit(&e),
-        }
-    }
-
     /// Workload scale factor for APU runs.
     pub fn apu_scale(&self) -> f64 {
         if self.quick {
@@ -267,46 +254,6 @@ impl CliArgs {
             0.5
         }
     }
-}
-
-/// Prints an argument error plus the shared usage line and exits(2).
-fn usage_exit(err: &str) -> ! {
-    let bin = std::env::args()
-        .next()
-        .map(|p| {
-            std::path::Path::new(&p)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or(p.clone())
-        })
-        .unwrap_or_else(|| "bench".into());
-    eprintln!("error: {err}");
-    eprintln!("usage: {bin} {}", usage_flags());
-    std::process::exit(2);
-}
-
-/// Measures the steady-state average message latency of a policy on a
-/// synthetic-traffic mesh: `warmup` cycles discarded, `measure` cycles
-/// counted.
-#[allow(clippy::too_many_arguments)] // experiment parameters, not an API
-pub fn synthetic_latency(
-    width: u16,
-    height: u16,
-    pattern: Pattern,
-    rate: f64,
-    arbiter: Box<dyn Arbiter>,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> f64 {
-    let topo = Topology::uniform_mesh(width, height).expect("valid mesh");
-    let cfg = SimConfig::synthetic(width, height);
-    let traffic = SyntheticTraffic::new(&topo, pattern, rate, cfg.num_vnets, seed);
-    let mut sim = Simulator::new(topo, cfg, arbiter, traffic).expect("valid sim");
-    sim.run(warmup);
-    sim.reset_stats();
-    sim.run(measure);
-    sim.stats().avg_latency()
 }
 
 /// Trains a DQN agent on a synthetic mesh and freezes it into the "NN"
@@ -554,37 +501,6 @@ pub fn apu_policy_specs(nn: Option<NnPolicyArbiter>) -> Vec<PolicySpec> {
     v
 }
 
-/// The Fig. 9/10/11 policy line-up, pre-built for one seed.
-pub fn apu_policy_lineup(
-    seed: u64,
-    nn: Option<NnPolicyArbiter>,
-) -> Vec<(String, Box<dyn Arbiter>)> {
-    apu_policy_specs(nn)
-        .into_iter()
-        .map(|spec| {
-            let arb = spec.build(seed);
-            (spec.name, arb)
-        })
-        .collect()
-}
-
-/// Runs one benchmark's four-copies experiment under every policy in the
-/// line-up and returns `(policy name, result)` pairs.
-pub fn apu_sweep_one(
-    specs: &[WorkloadSpec],
-    seed: u64,
-    max_cycles: u64,
-    nn: Option<&NnPolicyArbiter>,
-) -> Vec<(String, ApuRunResult)> {
-    apu_policy_lineup(seed, nn.cloned())
-        .into_iter()
-        .map(|(name, arb)| {
-            let r = apu_run(specs.to_vec(), arb, seed, max_cycles);
-            (name, r)
-        })
-        .collect()
-}
-
 /// Multi-seed sweep: every policy runs the experiment once per seed;
 /// returns `(policy name, mean avg-exec, mean tail-exec)` rows. Seed
 /// averaging tames the run-to-run variance of the statistical workloads.
@@ -624,26 +540,6 @@ pub fn apu_sweep_seeds(
         .collect()
 }
 
-/// The seed list used by the figure binaries.
-pub fn sweep_seeds(base: u64, quick: bool) -> Vec<u64> {
-    if quick {
-        vec![base, base + 1]
-    } else {
-        vec![base, base + 1, base + 2, base + 3]
-    }
-}
-
-/// Formats a normalized row: each value divided by the reference (last)
-/// policy's value.
-pub fn normalized_row(label: &str, values: &[f64]) -> Vec<String> {
-    let reference = *values.last().expect("non-empty row");
-    let mut row = vec![label.to_string()];
-    for v in values {
-        row.push(format!("{:.3}", v / reference));
-    }
-    row
-}
-
 /// Geometric mean of positive values.
 pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of empty slice");
@@ -651,8 +547,9 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Like [`synthetic_latency`] but returns the full statistics of the
-/// measurement window.
+/// Runs a policy on a synthetic-traffic mesh — `warmup` cycles
+/// discarded, `measure` cycles counted — and returns the statistics of
+/// the measurement window.
 #[allow(clippy::too_many_arguments)] // experiment parameters, not an API
 pub fn synthetic_run(
     width: u16,
@@ -692,7 +589,7 @@ pub struct Fig05Params {
 }
 
 impl Fig05Params {
-    /// The `--quick` configuration of the `fig05_synthetic` binary.
+    /// The `--quick` configuration of Fig. 5.
     pub fn quick(seed: u64, threads: usize) -> Self {
         Fig05Params {
             warmup: 1_000,
@@ -704,7 +601,7 @@ impl Fig05Params {
         }
     }
 
-    /// The full configuration of the `fig05_synthetic` binary.
+    /// The full configuration of Fig. 5.
     pub fn full(seed: u64, threads: usize) -> Self {
         Fig05Params {
             warmup: 5_000,
@@ -780,62 +677,6 @@ pub fn fig05_report(p: &Fig05Params) -> String {
         out.push('\n');
     }
     out
-}
-
-/// The load-sweep experiment core: latency vs offered load for four
-/// policies on a 4×4 uniform-random mesh, all `rate × policy` runs
-/// dispatched through [`sweep::run_parallel`]. Returns `(headers, rows)`
-/// ready for [`render_table`] / [`write_csv`].
-pub fn load_sweep_table(
-    quick: bool,
-    seed: u64,
-    threads: usize,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    let (warmup, measure) = if quick { (1_000, 4_000) } else { (3_000, 15_000) };
-    let policies = [
-        PolicyKind::RoundRobin,
-        PolicyKind::Fifo,
-        PolicyKind::RlSynth4x4,
-        PolicyKind::GlobalAge,
-    ];
-    let rates: Vec<f64> = (1..=11).map(|i| 0.05 * i as f64).collect();
-
-    let mut headers: Vec<String> = vec!["rate".into()];
-    for k in policies {
-        headers.push(format!("{k} avg"));
-        headers.push(format!("{k} p99"));
-    }
-
-    let jobs: Vec<(f64, PolicyKind)> = rates
-        .iter()
-        .flat_map(|&rate| policies.iter().map(move |&kind| (rate, kind)))
-        .collect();
-    let stats = sweep::run_parallel(jobs, threads, |(rate, kind)| {
-        synthetic_run(
-            4,
-            4,
-            Pattern::UniformRandom,
-            rate,
-            make_arbiter(kind, seed),
-            warmup,
-            measure,
-            seed,
-        )
-    });
-
-    let rows = rates
-        .iter()
-        .enumerate()
-        .map(|(ri, &rate)| {
-            let mut row = vec![format!("{rate:.2}")];
-            for s in &stats[ri * policies.len()..(ri + 1) * policies.len()] {
-                row.push(format!("{:.1}", s.avg_latency()));
-                row.push(format!("{}", s.latency_percentile(99.0)));
-            }
-            row
-        })
-        .collect();
-    (headers, rows)
 }
 
 #[cfg(test)]
@@ -936,44 +777,6 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn synthetic_latency_smoke() {
-        let l = synthetic_latency(
-            4,
-            4,
-            Pattern::UniformRandom,
-            0.05,
-            Box::new(noc_sim::arbiters::FifoArbiter::new()),
-            200,
-            500,
-            1,
-        );
-        assert!(l > 0.0);
-    }
-}
-
-/// Variant of [`synthetic_run`] with an explicit routing function.
-#[allow(clippy::too_many_arguments)] // experiment parameters, not an API
-pub fn synthetic_run_routed(
-    width: u16,
-    height: u16,
-    pattern: Pattern,
-    rate: f64,
-    routing: noc_sim::RoutingKind,
-    arbiter: Box<dyn Arbiter>,
-    warmup: u64,
-    measure: u64,
-    seed: u64,
-) -> noc_sim::SimStats {
-    let topo = Topology::uniform_mesh(width, height).expect("valid mesh");
-    let mut cfg = SimConfig::synthetic(width, height);
-    cfg.routing = routing;
-    let traffic = SyntheticTraffic::new(&topo, pattern, rate, cfg.num_vnets, seed);
-    let mut sim = Simulator::new(topo, cfg, arbiter, traffic).expect("valid sim");
-    sim.run(warmup);
-    sim.reset_stats();
-    sim.run(measure);
-    sim.stats().clone()
 }
 
 /// Writes a CSV file next to the printed table: header row plus data rows.

@@ -12,8 +12,8 @@
 
 use std::path::PathBuf;
 
-use bench::exp::driver::{resolve, run_matrix};
-use bench::exp::figures::FigureKind;
+use bench::exp::driver::run_matrix;
+use bench::exp::figures::{find, FigureKind};
 use bench::exp::spec::{ExperimentSpec, FaultAxis, Tier, TierParams};
 use bench::CliArgs;
 
@@ -32,7 +32,7 @@ fn args(seed: u64, threads: usize) -> CliArgs {
 }
 
 fn matrix_figure(name: &str) -> (ExperimentSpec, bench::exp::figures::Renderer) {
-    let FigureKind::Matrix { spec, render, .. } = &resolve(name).unwrap().kind else {
+    let FigureKind::Matrix { spec, render, .. } = &find(name).unwrap().kind else {
         panic!("{name} must be a matrix figure")
     };
     (spec(), *render)

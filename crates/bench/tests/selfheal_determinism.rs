@@ -21,8 +21,8 @@ use std::sync::Mutex;
 
 use bench::exp::backend::CellRecord;
 use bench::exp::cache::{CacheStats, ResultCache};
-use bench::exp::driver::{resolve, run_matrix, run_matrix_cached};
-use bench::exp::figures::FigureKind;
+use bench::exp::driver::{run_matrix, run_matrix_cached};
+use bench::exp::figures::{find, FigureKind};
 use bench::exp::spec::{ExperimentSpec, Tier, TierParams};
 use bench::CliArgs;
 use nn_mlp::Mlp;
@@ -58,7 +58,7 @@ fn args(seed: u64, threads: usize, tag: &str) -> CliArgs {
 /// The selfheal spec with `driver_equivalence`-convention scaled budgets
 /// so the repeated full-matrix runs stay suite-friendly.
 fn scaled_selfheal() -> (ExperimentSpec, TierParams, bench::exp::figures::Renderer) {
-    let FigureKind::Matrix { spec, render, .. } = &resolve("selfheal").unwrap().kind else {
+    let FigureKind::Matrix { spec, render, .. } = &find("selfheal").unwrap().kind else {
         panic!("selfheal must be a matrix figure")
     };
     let spec = spec();

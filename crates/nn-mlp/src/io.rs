@@ -222,423 +222,6 @@ impl Mlp {
     }
 }
 
-// --------------------------------------------------------------------
-// Versioned training checkpoints
-// --------------------------------------------------------------------
-
-/// Version stamp of the checkpoint JSON schema
-/// ([`Checkpoint::to_json`]). Bump on any breaking change and teach
-/// consumers both shapes.
-pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
-
-/// A versioned trained-model checkpoint: the network plus everything a
-/// consumer needs to rebuild the policy and audit where it came from.
-///
-/// The weights travel as the embedded `mlp v1` text (round-trip exact:
-/// floats are written in Rust's shortest form that parses back to the
-/// same bits), so `save → load` reproduces the `Mlp` bit-identically.
-/// The `config` entries are an ordered string map the training layer
-/// uses to persist its agent/encoder configuration — this crate treats
-/// them as opaque data.
-///
-/// Schema v1 layout:
-///
-/// ```json
-/// {
-///   "ckpt_schema": 1,
-///   "recipe_hash": "<fnv-1a of the training recipe>",
-///   "git_describe": "<producing checkout>",
-///   "converged": true | false | null,
-///   "curve": [..],
-///   "accuracy": [..],
-///   "config": {"k": "v", ...},
-///   "model": "mlp v1\n..."
-/// }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    /// Content hash of the training recipe that produced the model (the
-    /// artifact store's addressing key).
-    pub recipe_hash: String,
-    /// `git describe` of the producing checkout (`"unknown"` offline).
-    pub git_describe: String,
-    /// The trainer's convergence verdict, when early-stop was armed;
-    /// `None` when the trainer ran the full epoch budget unconditionally.
-    pub converged: Option<bool>,
-    /// Learning curve: average message latency per training epoch.
-    pub curve: Vec<f64>,
-    /// Oracle-match accuracy per training epoch.
-    pub accuracy: Vec<f64>,
-    /// Ordered key/value configuration entries (agent hyperparameters,
-    /// encoder shape, feature bounds — written and read by `rl-arb`).
-    pub config: Vec<(String, String)>,
-    /// The trained network.
-    pub model: Mlp,
-}
-
-impl Checkpoint {
-    /// Looks up a config entry by key.
-    pub fn config_value(&self, key: &str) -> Option<&str> {
-        self.config.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// Serializes the checkpoint as pretty-printed JSON (schema v1).
-    ///
-    /// Emission order is fixed, so equal checkpoints serialize to equal
-    /// bytes — the property the golden-file test pins.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"ckpt_schema\": {CHECKPOINT_SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"recipe_hash\": {},", json_escape(&self.recipe_hash));
-        let _ = writeln!(s, "  \"git_describe\": {},", json_escape(&self.git_describe));
-        match self.converged {
-            Some(c) => {
-                let _ = writeln!(s, "  \"converged\": {c},");
-            }
-            None => s.push_str("  \"converged\": null,\n"),
-        }
-        let _ = writeln!(s, "  \"curve\": [{}],", json_f64_list(&self.curve));
-        let _ = writeln!(s, "  \"accuracy\": [{}],", json_f64_list(&self.accuracy));
-        if self.config.is_empty() {
-            s.push_str("  \"config\": {},\n");
-        } else {
-            s.push_str("  \"config\": {\n");
-            for (i, (k, v)) in self.config.iter().enumerate() {
-                let _ = write!(s, "    {}: {}", json_escape(k), json_escape(v));
-                s.push_str(if i + 1 < self.config.len() { ",\n" } else { "\n" });
-            }
-            s.push_str("  },\n");
-        }
-        let _ = writeln!(s, "  \"model\": {}", json_escape(&self.model.to_text()));
-        s.push_str("}\n");
-        s
-    }
-
-    /// Parses a checkpoint back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem: malformed
-    /// JSON, a schema version this build does not understand, missing or
-    /// mistyped fields, or an embedded model that fails [`Mlp::from_text`].
-    pub fn from_json(text: &str) -> Result<Checkpoint, String> {
-        let value = JsonValue::parse(text)?;
-        let obj = value.as_object()?;
-        let schema = obj.field("ckpt_schema")?.as_u64()?;
-        if schema != CHECKPOINT_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported checkpoint schema {schema} (this build reads v{CHECKPOINT_SCHEMA_VERSION})"
-            ));
-        }
-        let converged = match obj.field("converged")? {
-            JsonValue::Null => None,
-            JsonValue::Bool(b) => Some(*b),
-            other => return Err(format!("'converged' must be bool or null, got {other:?}")),
-        };
-        let f64_list = |key: &str| -> Result<Vec<f64>, String> {
-            obj.field(key)?
-                .as_array()?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("'{key}': {e}"))
-        };
-        let mut config = Vec::new();
-        for (k, v) in obj.field("config")?.as_object()? {
-            config.push((k.clone(), v.as_str()?));
-        }
-        let model_text = obj.field("model")?.as_str()?;
-        let model = Mlp::from_text(&model_text).map_err(|e| format!("embedded model: {e}"))?;
-        Ok(Checkpoint {
-            recipe_hash: obj.field("recipe_hash")?.as_str()?,
-            git_describe: obj.field("git_describe")?.as_str()?,
-            converged,
-            curve: f64_list("curve")?,
-            accuracy: f64_list("accuracy")?,
-            config,
-            model,
-        })
-    }
-
-    /// Writes the checkpoint to a file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a checkpoint from a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error for unreadable files, or an
-    /// `InvalidData`-wrapped message for malformed content.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Checkpoint> {
-        let text = std::fs::read_to_string(path)?;
-        Checkpoint::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Escapes a string for JSON.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats finite f64s so each parses back to the same bits (`{:?}` is
-/// Rust's shortest round-trip form). Learning curves are always finite;
-/// non-finite values would not survive JSON and are a caller bug.
-fn json_f64_list(values: &[f64]) -> String {
-    debug_assert!(values.iter().all(|v| v.is_finite()), "non-finite curve value");
-    values.iter().map(|v| format!("{v:?}")).collect::<Vec<_>>().join(", ")
-}
-
-/// A minimal JSON value — just enough for the checkpoint schema. (The
-/// build environment has no crates.io access, and this crate sits below
-/// the experiment layer's parser, so it carries its own.)
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    /// Numbers keep their lexeme so integers survive exactly.
-    Num(String),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let v = json_parse_value(bytes, &mut pos)?;
-        json_skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Result<&Vec<(String, JsonValue)>, String> {
-        match self {
-            JsonValue::Obj(m) => Ok(m),
-            other => Err(format!("expected object, got {other:?}")),
-        }
-    }
-
-    fn as_array(&self) -> Result<&Vec<JsonValue>, String> {
-        match self {
-            JsonValue::Arr(a) => Ok(a),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self) -> Result<String, String> {
-        match self {
-            JsonValue::Str(s) => Ok(s.clone()),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            JsonValue::Num(n) => n.parse().map_err(|_| format!("expected u64, got {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            JsonValue::Num(n) => n.parse().map_err(|_| format!("bad number {n}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-}
-
-/// Field lookup on the insertion-ordered object pairs.
-trait JsonObjExt {
-    fn field(&self, key: &str) -> Result<&JsonValue, String>;
-}
-
-impl JsonObjExt for Vec<(String, JsonValue)> {
-    fn field(&self, key: &str) -> Result<&JsonValue, String> {
-        self.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing '{key}'"))
-    }
-}
-
-fn json_skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn json_parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    json_skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            json_skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(pairs));
-            }
-            loop {
-                json_skip_ws(b, pos);
-                let key = json_parse_string(b, pos)?;
-                json_skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let value = json_parse_value(b, pos)?;
-                pairs.push((key, value));
-                json_skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            json_skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(json_parse_value(b, pos)?);
-                json_skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(JsonValue::Str(json_parse_string(b, pos)?)),
-        Some(b't') => json_parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => json_parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => json_parse_lit(b, pos, "null", JsonValue::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            if start == *pos {
-                return Err(format!("unexpected byte at {start}"));
-            }
-            let lexeme = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            lexeme
-                .parse::<f64>()
-                .map_err(|_| format!("bad number '{lexeme}'"))?;
-            Ok(JsonValue::Num(lexeme.to_string()))
-        }
-    }
-}
-
-fn json_parse_lit(
-    b: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn json_parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,83 +291,5 @@ mod tests {
             message: "boom".into(),
         };
         assert_eq!(e.to_string(), "model parse error at line 7: boom");
-    }
-
-    fn sample_checkpoint() -> Checkpoint {
-        Checkpoint {
-            recipe_hash: "00ff00ff00ff00ff".into(),
-            git_describe: "v0-test".into(),
-            converged: Some(true),
-            curve: vec![10.5, 7.25, 0.1 + 0.2], // deliberately awkward float
-            accuracy: vec![0.5, 0.75],
-            config: vec![
-                ("hidden".into(), "15".into()),
-                ("features".into(), "payload_size,local_age".into()),
-                ("note \"quoted\"\n".into(), "tab\there".into()),
-            ],
-            model: Mlp::paper_agent(4, 3, 2, 7),
-        }
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_bit_identically() {
-        let ckpt = sample_checkpoint();
-        let json = ckpt.to_json();
-        let back = Checkpoint::from_json(&json).unwrap();
-        assert_eq!(ckpt, back);
-        // Serialization is a fixpoint, so equal checkpoints mean equal bytes.
-        assert_eq!(json, back.to_json());
-        // And the embedded model is bitwise the same network.
-        let x = [0.1, 0.2, 0.3, 0.4];
-        assert_eq!(ckpt.model.forward(&x), back.model.forward(&x));
-    }
-
-    #[test]
-    fn checkpoint_roundtrips_through_file() {
-        let mut ckpt = sample_checkpoint();
-        ckpt.converged = None;
-        let dir = std::env::temp_dir().join("nn_mlp_ckpt_test");
-        let path = dir.join("nested").join("a.ckpt.json");
-        ckpt.save(&path).unwrap();
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(ckpt, back);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpoint_schema_version_is_enforced() {
-        let json = sample_checkpoint().to_json().replace(
-            "\"ckpt_schema\": 1,",
-            "\"ckpt_schema\": 99,",
-        );
-        let err = Checkpoint::from_json(&json).unwrap_err();
-        assert!(err.contains("unsupported checkpoint schema 99"), "{err}");
-    }
-
-    #[test]
-    fn checkpoint_missing_field_is_reported() {
-        let err = Checkpoint::from_json("{\"ckpt_schema\": 1}").unwrap_err();
-        assert!(err.contains("missing 'converged'") || err.contains("missing '"), "{err}");
-    }
-
-    #[test]
-    fn checkpoint_rejects_malformed_json() {
-        assert!(Checkpoint::from_json("{\"ckpt_schema\": 1,").is_err());
-        assert!(Checkpoint::from_json("[]").is_err());
-        assert!(Checkpoint::from_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_embedded_model() {
-        let json = sample_checkpoint().to_json().replace("mlp v1", "mlp v9");
-        let err = Checkpoint::from_json(&json).unwrap_err();
-        assert!(err.contains("embedded model"), "{err}");
-    }
-
-    #[test]
-    fn config_value_finds_entries() {
-        let ckpt = sample_checkpoint();
-        assert_eq!(ckpt.config_value("hidden"), Some("15"));
-        assert_eq!(ckpt.config_value("absent"), None);
     }
 }

@@ -11,9 +11,8 @@
 //! * [`DenseLayer`] — exposes raw weights for heatmap analysis.
 //! * [`QuantizedMlp`] — INT8 post-training quantization, the inference
 //!   datapath costed in the paper's Table 3.
-//! * [`Checkpoint`] — versioned trained-model checkpoints (schema v1:
-//!   weights + training config + recipe hash + learning curve) backing the
-//!   content-addressed artifact store in `bench`.
+//! * [`Mlp::to_text`] / [`Mlp::from_text`] — the `mlp v1` text format
+//!   trained weights are stored in (`rl-arb`'s checkpoints embed it).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,7 +24,7 @@ mod network;
 mod quantize;
 
 pub use activation::Activation;
-pub use io::{Checkpoint, ParseModelError, CHECKPOINT_SCHEMA_VERSION};
+pub use io::ParseModelError;
 pub use layer::DenseLayer;
 pub use network::{Mlp, Scratch};
 pub use quantize::{QuantScratch, QuantizedLayer, QuantizedMlp};

@@ -1,18 +1,15 @@
-//! Fuzz-style robustness tests for the model-text and checkpoint-JSON
-//! readers.
+//! Fuzz-style robustness tests for the model-text reader.
 //!
-//! Checkpoints cross machine and version boundaries (the
-//! content-addressed artifact store hands them to future builds), so the
-//! readers must fail *structurally* on damaged input: every mutated or
-//! truncated document returns an `Err` or a still-valid parse — never a
-//! panic.
+//! Model text crosses machine and version boundaries inside checkpoints
+//! (the content-addressed artifact store hands them to future builds; the
+//! checkpoint JSON around it is fuzzed in `bench/tests/codec_fuzz.rs`),
+//! so the reader must fail *structurally* on damaged input: every mutated
+//! or truncated document returns an `Err` or a still-valid parse — never
+//! a panic.
 
 use proptest::prelude::*;
 
-use nn_mlp::{Activation, Checkpoint, Mlp};
-
-/// The checked-in golden checkpoint document.
-const GOLDEN_CKPT: &str = include_str!("golden/checkpoint_v1.json");
+use nn_mlp::{Activation, Mlp};
 
 /// A tiny deterministic xorshift so mutations need no external RNG.
 fn next(state: &mut u64) -> u64 {
@@ -36,25 +33,6 @@ fn mutate(doc: &str, seed: u64, n: usize) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Corrupted checkpoint JSON never panics the reader.
-    #[test]
-    fn mutated_checkpoints_never_panic(seed in any::<u64>(), burst in any::<u32>()) {
-        let n = 1 + (burst as usize % 8);
-        let _ = Checkpoint::from_json(&mutate(GOLDEN_CKPT, seed, n));
-    }
-
-    /// Truncated checkpoint JSON always errors, never panics.
-    #[test]
-    fn truncated_checkpoints_never_panic(cut in any::<u64>()) {
-        let len = (cut % GOLDEN_CKPT.len() as u64) as usize;
-        if len < GOLDEN_CKPT.len() {
-            prop_assert!(
-                Checkpoint::from_json(&GOLDEN_CKPT[..len]).is_err(),
-                "a strict prefix of the golden checkpoint must not parse"
-            );
-        }
-    }
-
     /// Corrupted and truncated model text never panics `Mlp::from_text`.
     #[test]
     fn mutated_model_text_never_panics(seed in any::<u64>(), cut in any::<u32>()) {
@@ -66,10 +44,9 @@ proptest! {
     }
 }
 
-/// The fuzz corpora are live: unmutated inputs round-trip.
+/// The fuzz corpus is live: the unmutated input round-trips.
 #[test]
 fn golden_inputs_parse() {
-    Checkpoint::from_json(GOLDEN_CKPT).expect("golden checkpoint parses");
     let model = Mlp::new(&[4, 3, 2], &[Activation::Sigmoid, Activation::Relu], 9);
     let back = Mlp::from_text(&model.to_text()).expect("model text round-trips");
     assert_eq!(model.to_text(), back.to_text());

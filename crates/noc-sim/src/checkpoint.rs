@@ -4,8 +4,9 @@
 //! bit-identically to the unsplit run.
 //!
 //! A [`SimCheckpoint`] is a canonical JSON document in the same minimal
-//! dialect the fault-plan codec reads ([`crate::faults::json`]): objects,
-//! arrays, escape-free strings, and unsigned integers. Everything that is
+//! dialect as the fault plan (the integer-only tree over
+//! [`crate::codec`]): objects, arrays, escape-free strings, and unsigned
+//! integers. Everything that is
 //! not naturally an unsigned integer is mapped onto one — `f64` fields
 //! travel as their IEEE-754 bit patterns, signed counters as two's
 //! complement casts, and the one `u128` accumulator as a (hi, lo) pair —
@@ -74,19 +75,8 @@ impl SimCheckpoint {
     /// digits. Two checkpoints with the same hash hold byte-identical
     /// simulator state.
     pub fn content_hash(&self) -> String {
-        format!("{:016x}", fnv1a64(self.text.as_bytes()))
+        format!("{:016x}", crate::codec::fnv1a64(self.text.as_bytes()))
     }
-}
-
-/// 64-bit FNV-1a over raw bytes (the same constants the fault-plan and
-/// experiment-spec hashes use).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Number of integers a [`Packet`] flattens to.

@@ -261,12 +261,7 @@ impl FaultPlan {
     /// 64-bit FNV-1a content hash of the plan, as 16 hex digits. Recorded
     /// per experiment cell so results are traceable to the exact plan.
     pub fn hash_hex(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", crate::codec::fnv1a64(format!("{self:?}").as_bytes()))
     }
 
     /// Serializes the plan to its canonical JSON form:
@@ -348,16 +343,40 @@ impl FaultPlan {
     }
 }
 
-/// Minimal JSON reader for the fault-plan dialect: objects, arrays,
-/// strings without escapes, and unsigned integers — exactly what
-/// [`FaultPlan::to_json`] emits. Crate-visible because the simulator
-/// checkpoint codec (`crate::checkpoint`) speaks the same dialect.
+/// The integer-only value tree of the fault-plan and simulator-snapshot
+/// documents: objects, arrays, strings and unsigned integers, built by
+/// the shared parser in [`crate::codec`]. Numbers are decoded once into a
+/// `u64` rather than kept as a `String` lexeme each, which is what keeps
+/// a half-megabyte snapshot cheap to read.
 pub(crate) mod json {
+    use crate::codec::Tree;
+
     pub(crate) enum Value {
         Num(u64),
         Str(String),
         Arr(Vec<Value>),
         Obj(Vec<(String, Value)>),
+    }
+
+    impl Tree for Value {
+        fn obj(fields: Vec<(String, Self)>) -> Self {
+            Value::Obj(fields)
+        }
+        fn arr(items: Vec<Self>) -> Self {
+            Value::Arr(items)
+        }
+        fn str(s: String) -> Self {
+            Value::Str(s)
+        }
+        fn num(lexeme: &str) -> Result<Self, String> {
+            lexeme
+                .parse()
+                .map(Value::Num)
+                .map_err(|e| format!("bad number \"{lexeme}\": {e}"))
+        }
+        fn lit(_: Option<bool>) -> Result<Self, String> {
+            Err("booleans and null are not part of this format".into())
+        }
     }
 
     impl Value {
@@ -401,111 +420,7 @@ pub(crate) mod json {
     }
 
     pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let b = text.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && b[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&ch) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", ch as char, *pos))
-        }
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", *pos));
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&b[start..*pos])
-            .map_err(|_| "invalid UTF-8 in string".to_string())?
-            .to_string();
-        *pos += 1;
-        Ok(s)
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    let key = string(b, pos)?;
-                    expect(b, pos, b':')?;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while *pos < b.len() && b[*pos].is_ascii_digit() {
-                    *pos += 1;
-                }
-                let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-                s.parse::<u64>()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number \"{s}\": {e}"))
-            }
-            _ => Err(format!("unexpected input at byte {}", *pos)),
-        }
+        crate::codec::parse(text)
     }
 }
 

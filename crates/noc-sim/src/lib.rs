@@ -44,6 +44,8 @@
 //! * [`SimStats`] — latency/throughput/fairness/starvation accounting.
 //! * [`FaultPlan`] — deterministic fault injection (transient/persistent
 //!   link faults, router stalls, VC shrinkage) with graceful degradation.
+//! * [`codec`] — the workspace's one JSON lexer/parser, string and number
+//!   writers and FNV-1a hash, shared by every serialized format.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -70,6 +72,7 @@ mod types;
 mod vc_control;
 
 pub mod arbiters;
+pub mod codec;
 
 pub use arbitration::{Arbiter, Candidate, Features, Grant, NetSnapshot, OutputCtx, RouterCtx};
 pub use buffer::VcBuffer;

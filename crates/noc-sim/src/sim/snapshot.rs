@@ -1,0 +1,750 @@
+//! The snapshot format: [`Simulator::checkpoint`] writes it and
+//! [`Simulator::restore`] / [`Simulator::restore_checkpoint`] read it
+//! back. This file is the only place that knows the field layout; the
+//! record-level helpers (packet tuples, integer arrays) are in
+//! [`crate::checkpoint`].
+
+use std::collections::VecDeque;
+
+use super::{Arrival, Simulator};
+use crate::arbitration::{Arbiter, NetSnapshot};
+use crate::calendar::{CalendarCounter, CalendarQueue};
+use crate::checkpoint::{self as ckpt, SimCheckpoint};
+use crate::config::SimConfig;
+use crate::faults::{FaultPlan, FaultRuntime};
+use crate::invariants::{CheckerSnapshot, InvariantChecker};
+use crate::stats::SimStats;
+use crate::topology::Topology;
+use crate::traffic::TrafficSource;
+use crate::types::RouterId;
+
+impl<T: TrafficSource> Simulator<T> {
+    /// Serializes every piece of mutable simulator state into a versioned,
+    /// content-hashed [`SimCheckpoint`]: RNG streams (via the traffic
+    /// source and arbiter state hooks), calendar queues, buffer contents
+    /// and credit books, injection queues, fault-runtime retry state,
+    /// invariant-checker books, and the full [`SimStats`]. A run split at
+    /// any cycle boundary via [`Simulator::checkpoint`] /
+    /// [`Simulator::restore`] — including across a process restart — is
+    /// bit-identical to the unsplit run.
+    ///
+    /// # Errors
+    ///
+    /// Refuses to checkpoint when the state cannot be carried faithfully:
+    /// the installed arbiter or traffic source does not implement the
+    /// checkpoint hooks ([`Arbiter::checkpoint_state`] returned `None`),
+    /// the grant log or packet trace is enabled (unbounded diagnostic
+    /// state, deliberately outside the snapshot contract), a debug credit
+    /// leak is armed, or the invariant checker has already recorded
+    /// violations (the violation list is not serialized; clean runs have
+    /// none).
+    pub fn checkpoint(&self) -> Result<SimCheckpoint, String> {
+        if self.grant_log.is_some() {
+            return Err("cannot checkpoint with the grant log enabled".into());
+        }
+        if self.trace.is_some() {
+            return Err("cannot checkpoint with packet tracing enabled".into());
+        }
+        if self.leak_at.is_some() {
+            return Err("cannot checkpoint with a debug credit leak armed".into());
+        }
+        if self.misbehave_at.is_some() {
+            return Err("cannot checkpoint with a debug controller corruption armed".into());
+        }
+        if let Some(ck) = &self.checker {
+            if ck.total_violations() > 0 {
+                return Err(
+                    "cannot checkpoint after invariant violations were recorded".into(),
+                );
+            }
+        }
+        let arbiter_state = self.arbiter.checkpoint_state().ok_or_else(|| {
+            format!(
+                "arbiter '{}' does not support checkpointing",
+                self.arbiter.name()
+            )
+        })?;
+        let traffic_state = self
+            .traffic
+            .checkpoint_state()
+            .ok_or_else(|| "the traffic source does not support checkpointing".to_string())?;
+        ckpt::check_clean_str(&arbiter_state, "arbiter")?;
+        ckpt::check_clean_str(&traffic_state, "traffic")?;
+        let arbiter_name = self.arbiter.name();
+        ckpt::check_clean_str(&arbiter_name, "arbiter name")?;
+        let ctl_block = match &self.vc_ctl {
+            None => None,
+            Some(c) => {
+                let state = c.ctl.checkpoint_state().ok_or_else(|| {
+                    format!(
+                        "buffer controller '{}' does not support checkpointing",
+                        c.ctl.name()
+                    )
+                })?;
+                ckpt::check_clean_str(&state, "buffer controller")?;
+                let name = c.ctl.name();
+                ckpt::check_clean_str(&name, "buffer controller name")?;
+                Some((name, state))
+            }
+        };
+
+        fn fnum(key: &str, v: u64) -> String {
+            format!("\"{key}\": {v}")
+        }
+        fn fstr(key: &str, v: &str) -> String {
+            format!("\"{key}\": \"{v}\"")
+        }
+        fn farr(key: &str, vals: impl IntoIterator<Item = u64>) -> String {
+            let mut s = format!("\"{key}\": ");
+            ckpt::push_num_arr(&mut s, vals);
+            s
+        }
+        fn frows(key: &str, rows: &[Vec<u64>]) -> String {
+            let mut s = format!("\"{key}\": [");
+            for (i, row) in rows.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push('\n');
+                ckpt::push_num_arr(&mut s, row.iter().copied());
+            }
+            s.push(']');
+            s
+        }
+
+        let mut fields: Vec<String> = vec![
+            fnum("version", ckpt::CHECKPOINT_VERSION),
+            fnum("routers", self.coords.len() as u64),
+            fnum("ports", self.ports as u64),
+            fnum("vnets", self.vnets as u64),
+            fnum("nodes", self.node_ports.len() as u64),
+            fstr("routing", self.cfg.routing.as_str()),
+            fstr("arbiter_name", &arbiter_name),
+            fnum("cycle", self.cycle),
+            fnum("next_packet_id", self.next_packet_id),
+            fnum("queued_total", self.queued_total),
+            fnum("active_mesh_tx", self.active_mesh_tx as u64),
+        ];
+        fields.push(fnum(
+            "inflight_create_hi",
+            (self.inflight_create_sum >> 64) as u64,
+        ));
+        fields.push(fnum("inflight_create_lo", self.inflight_create_sum as u64));
+        fields.push(fnum("inflight_count", self.inflight_count));
+        fields.push(fnum("period_lat_sum", self.period_lat_sum));
+        fields.push(fnum("period_delivered", self.period_delivered));
+        fields.push(fnum("net_cycle", self.net.cycle));
+        fields.push(fnum(
+            "net_link_util_bits",
+            self.net.link_utilization_prev.to_bits(),
+        ));
+        fields.push(fnum(
+            "net_acc_lat_bits",
+            self.net.avg_accumulated_latency.to_bits(),
+        ));
+        fields.push(fnum("net_in_flight", self.net.in_flight_packets as u64));
+        fields.push(fnum("lat_ema_q16", self.lat_ema_q16));
+        fields.push(fnum("recov_baseline_q16", self.recov_baseline_q16));
+        fields.push(fnum("recov_onset_cycle", self.recov_onset_cycle));
+        fields.push(fnum("recov_pending", self.recov_pending as u64));
+        fields.push(fnum("first_onset_cycle", self.first_onset_cycle));
+        fields.push(fnum("fault_active_prev", self.fault_active_prev as u64));
+
+        let s = &self.stats;
+        let stat_fields = vec![
+            fnum("cycles", s.cycles),
+            fnum("created", s.created),
+            fnum("injected", s.injected),
+            fnum("delivered", s.delivered),
+            fnum("total_latency", s.total_latency),
+            fnum("total_network_latency", s.total_network_latency),
+            fnum("total_hops", s.total_hops),
+            fnum("flits_on_links", s.flits_on_links),
+            fnum("link_busy_cycles", s.link_busy_cycles),
+            farr("latencies", s.latencies.iter().copied()),
+            fnum("max_local_age", s.max_local_age),
+            fnum("starved_grants", s.starved_grants),
+            fnum("starving_now", s.starving_now),
+            fnum("arbiter_queries", s.arbiter_queries),
+            fnum("grants", s.grants),
+            farr("delivered_per_vnet", s.delivered_per_vnet.iter().copied()),
+            farr("delivered_per_node", s.delivered_per_node.iter().copied()),
+            fnum("link_fault_drops", s.link_fault_drops),
+            fnum("fault_credits_reserved", s.fault_credits_reserved),
+            fnum("fault_credits_reconciled", s.fault_credits_reconciled),
+            fnum("stalled_router_cycles", s.stalled_router_cycles),
+            fnum("watchdog_fires", s.watchdog_fires),
+            fnum("wedged_ports", s.wedged_ports),
+            fnum("fault_onsets", s.fault_onsets),
+            fnum("recoveries", s.recoveries),
+            fnum("recovery_cycles_total", s.recovery_cycles_total),
+            fnum("post_fault_delivered", s.post_fault_delivered),
+            fnum("post_fault_latency_total", s.post_fault_latency_total),
+            fnum("in_flight_at_end", s.in_flight_at_end),
+            fnum("queued_at_end", s.queued_at_end),
+            fnum("num_mesh_links", s.num_mesh_links as u64),
+        ];
+        fields.push(format!("\"stats\": {{ {} }}", stat_fields.join(", ")));
+
+        fields.push(farr("out_free_at", self.out_free_at.iter().copied()));
+        fields.push(farr(
+            "in_flight_per_router",
+            self.in_flight_per_router.iter().map(|&n| n as u64),
+        ));
+
+        let mut inj_rows: Vec<Vec<u64>> = Vec::new();
+        for (qi, q) in self.inj_queues.iter().enumerate() {
+            if q.is_empty() {
+                continue;
+            }
+            let mut row = vec![qi as u64];
+            for p in q {
+                row.extend_from_slice(&ckpt::packet_nums(p));
+            }
+            inj_rows.push(row);
+        }
+        fields.push(frows("inj_queues", &inj_rows));
+
+        fields.push(fnum("arrivals_cursor", self.arrivals.cursor()));
+        let mut arr_rows: Vec<Vec<u64>> = Vec::new();
+        for (due, a) in self.arrivals.pending() {
+            let mut row = vec![due];
+            match a {
+                Arrival::Router {
+                    router,
+                    in_port,
+                    vnet,
+                    packet,
+                } => {
+                    row.push(0);
+                    row.extend([router.index() as u64, *in_port as u64, *vnet as u64]);
+                    row.extend_from_slice(&ckpt::packet_nums(packet));
+                }
+                Arrival::Node { packet } => {
+                    row.push(1);
+                    row.extend_from_slice(&ckpt::packet_nums(packet));
+                }
+                Arrival::CreditReturn {
+                    router,
+                    in_port,
+                    vnet,
+                    len,
+                } => {
+                    row.push(2);
+                    row.extend([
+                        router.index() as u64,
+                        *in_port as u64,
+                        *vnet as u64,
+                        *len as u64,
+                    ]);
+                }
+            }
+            arr_rows.push(row);
+        }
+        fields.push(frows("arrivals", &arr_rows));
+
+        fields.push(fnum("tx_ends_cursor", self.tx_ends.cursor()));
+        let tx_rows: Vec<Vec<u64>> = self
+            .tx_ends
+            .pending()
+            .into_iter()
+            .map(|(due, n)| vec![due, n as u64])
+            .collect();
+        fields.push(frows("tx_ends", &tx_rows));
+
+        let mut buf_rows: Vec<Vec<u64>> = Vec::new();
+        for bi in 0..self.bufs.num_buffers() {
+            let (used, reserved, shrink) = self.bufs.book_state(bi);
+            let last = self.bufs.last_arrival(bi);
+            let occupied = !self.bufs.is_empty(bi);
+            if used == 0 && reserved == 0 && shrink == 0 && last == u64::MAX && !occupied {
+                continue; // pristine buffer: implicit in the fresh simulator
+            }
+            let mut row = vec![
+                bi as u64,
+                used as u64,
+                reserved as u64,
+                shrink as u64,
+                last,
+            ];
+            for bp in self.bufs.iter(bi) {
+                ckpt::buffered_nums(bp, &mut row);
+            }
+            buf_rows.push(row);
+        }
+        fields.push(frows("buffers", &buf_rows));
+
+        if let Some(fr) = &self.faults {
+            let (hold, retry) = fr.retry_state();
+            let mut f = String::from("\"faults\": { \"plan\": ");
+            f.push_str(&fr.plan().to_json());
+            f.push_str(", ");
+            f.push_str(&farr("hold_until", hold.iter().copied()));
+            f.push_str(", ");
+            f.push_str(&farr("retry_count", retry.iter().map(|&n| n as u64)));
+            f.push_str(" }");
+            fields.push(f);
+        }
+
+        if let Some(ck) = &self.checker {
+            let snap = ck.snapshot();
+            let ck_fields = vec![
+                fnum("created", snap.created),
+                fnum("delivered", snap.delivered),
+                fnum("created_at_reset", snap.created_at_reset),
+                fnum("delivered_at_reset", snap.delivered_at_reset),
+                fnum("fault_reserved", snap.fault_reserved),
+                fnum("fault_reconciled", snap.fault_reconciled),
+                fnum("fault_reserved_at_reset", snap.fault_reserved_at_reset),
+                fnum(
+                    "fault_reconciled_at_reset",
+                    snap.fault_reconciled_at_reset,
+                ),
+                farr("delivered_ids", snap.delivered_ids.iter().copied()),
+                farr(
+                    "last_in_flow",
+                    snap.last_in_flow
+                        .iter()
+                        .flat_map(|&(a, b, c, d)| [a, b, c, d]),
+                ),
+                farr(
+                    "expected_reserved",
+                    snap.expected_reserved.iter().map(|&n| n as u64),
+                ),
+                fnum("total_violations", snap.total_violations),
+            ];
+            fields.push(format!("\"checker\": {{ {} }}", ck_fields.join(", ")));
+        }
+
+        if let (Some(c), Some((name, state))) = (&self.vc_ctl, &ctl_block) {
+            let ctl_fields = [
+                fstr("name", name),
+                farr("withhold", c.withhold.iter().map(|&n| n as u64)),
+                farr("fault_shrink", c.fault_shrink.iter().map(|&n| n as u64)),
+                fnum("epochs_run", c.epochs_run),
+                fstr("state", state),
+            ];
+            fields.push(format!("\"vc_ctl\": {{ {} }}", ctl_fields.join(", ")));
+        }
+
+        fields.push(fstr("traffic", &traffic_state));
+        fields.push(fstr("arbiter", &arbiter_state));
+        let text = format!("{{\n{}\n}}\n", fields.join(",\n"));
+        Ok(SimCheckpoint::from_text(text))
+    }
+
+    /// Rebuilds a simulator from a checkpoint, resuming bit-identically.
+    ///
+    /// The caller supplies the same construction-time inputs the original
+    /// simulator was built with — topology, configuration, and *freshly
+    /// constructed* arbiter and traffic-source objects of the same types
+    /// and parameters; their mutable state (RNG streams, rotation
+    /// pointers) is then overwritten from the checkpoint. The fault plan
+    /// and invariant-checker enablement are restored from the checkpoint
+    /// itself; do not call [`Simulator::set_fault_plan`] or
+    /// [`Simulator::enable_invariant_checker`] on the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem: invalid construction
+    /// inputs, a checkpoint version or shape mismatch (router/port/vnet
+    /// counts, routing kind, arbiter name), or a malformed document.
+    pub fn restore(
+        topo: Topology,
+        cfg: SimConfig,
+        arbiter: Box<dyn Arbiter>,
+        traffic: T,
+        checkpoint: &SimCheckpoint,
+    ) -> Result<Self, String> {
+        let mut sim = Simulator::new(topo, cfg, arbiter, traffic).map_err(|e| e.to_string())?;
+        sim.apply_checkpoint(checkpoint)?;
+        Ok(sim)
+    }
+
+    /// Applies a checkpoint to a freshly constructed simulator in place —
+    /// the variant of [`Simulator::restore`] for runs with a
+    /// [`crate::BufferController`] installed, where the controller object (a
+    /// construction-time input, like the arbiter) must be supplied via
+    /// [`Simulator::set_buffer_controller`] *before* the checkpoint is
+    /// applied:
+    ///
+    /// ```text
+    /// let mut sim = Simulator::new(topo, cfg, arbiter, traffic)?;
+    /// sim.set_buffer_controller(ctl);
+    /// sim.restore_checkpoint(&checkpoint)?;
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Simulator::restore`], plus a mismatch between
+    /// the installed controller (or its absence) and the checkpoint's
+    /// `vc_ctl` block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator has already stepped: checkpoints overwrite
+    /// a *fresh* simulator only.
+    pub fn restore_checkpoint(&mut self, checkpoint: &SimCheckpoint) -> Result<(), String> {
+        assert_eq!(self.cycle, 0, "restore onto a freshly constructed simulator");
+        self.apply_checkpoint(checkpoint)
+    }
+
+    /// Overwrites a freshly constructed simulator's state from a parsed
+    /// checkpoint document (the body of [`Simulator::restore`]).
+    fn apply_checkpoint(&mut self, checkpoint: &SimCheckpoint) -> Result<(), String> {
+        use crate::faults::json::{self, Value};
+        fn to_u32(v: u64, what: &str) -> Result<u32, String> {
+            u32::try_from(v).map_err(|_| format!("\"{what}\" value {v} exceeds u32"))
+        }
+        let doc = json::parse(checkpoint.to_json())?;
+        let obj = doc.as_obj("checkpoint")?;
+        let num = |k: &str| -> Result<u64, String> { json::get(obj, k)?.as_u64(k) };
+        let arr = |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(obj, k)?, k) };
+        let maybe =
+            |k: &str| -> Option<&Value> { obj.iter().find(|(key, _)| key == k).map(|(_, v)| v) };
+
+        let version = num("version")?;
+        if version != ckpt::CHECKPOINT_VERSION {
+            return Err(format!(
+                "checkpoint version {version} not supported (expected {})",
+                ckpt::CHECKPOINT_VERSION
+            ));
+        }
+        let shape = |k: &str, want: u64| -> Result<(), String> {
+            let got = num(k)?;
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!(
+                    "checkpoint shape mismatch: \"{k}\" is {got}, simulator has {want}"
+                ))
+            }
+        };
+        shape("routers", self.coords.len() as u64)?;
+        shape("ports", self.ports as u64)?;
+        shape("vnets", self.vnets as u64)?;
+        shape("nodes", self.node_ports.len() as u64)?;
+        let routing = json::get(obj, "routing")?.as_str("routing")?;
+        if routing != self.cfg.routing.as_str() {
+            return Err(format!(
+                "checkpoint routing \"{routing}\" does not match configured \"{}\"",
+                self.cfg.routing.as_str()
+            ));
+        }
+        let arbiter_name = json::get(obj, "arbiter_name")?.as_str("arbiter_name")?;
+        if arbiter_name != self.arbiter.name() {
+            return Err(format!(
+                "checkpoint arbiter \"{arbiter_name}\" does not match supplied \"{}\"",
+                self.arbiter.name()
+            ));
+        }
+
+        // Statistics.
+        let sv = json::get(obj, "stats")?.as_obj("stats")?;
+        let snum = |k: &str| -> Result<u64, String> { json::get(sv, k)?.as_u64(k) };
+        let sarr = |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(sv, k)?, k) };
+        let delivered_per_vnet = sarr("delivered_per_vnet")?;
+        let delivered_per_node = sarr("delivered_per_node")?;
+        if delivered_per_vnet.len() != self.vnets
+            || delivered_per_node.len() != self.node_ports.len()
+        {
+            return Err("checkpoint stats vector shapes do not match the topology".into());
+        }
+        let num_mesh_links = snum("num_mesh_links")? as usize;
+        if num_mesh_links != self.topo.num_links() {
+            return Err(format!(
+                "checkpoint has {num_mesh_links} mesh links, topology has {}",
+                self.topo.num_links()
+            ));
+        }
+        self.stats = SimStats {
+            cycles: snum("cycles")?,
+            created: snum("created")?,
+            injected: snum("injected")?,
+            delivered: snum("delivered")?,
+            total_latency: snum("total_latency")?,
+            total_network_latency: snum("total_network_latency")?,
+            total_hops: snum("total_hops")?,
+            flits_on_links: snum("flits_on_links")?,
+            link_busy_cycles: snum("link_busy_cycles")?,
+            latencies: sarr("latencies")?,
+            max_local_age: snum("max_local_age")?,
+            starved_grants: snum("starved_grants")?,
+            starving_now: snum("starving_now")?,
+            arbiter_queries: snum("arbiter_queries")?,
+            grants: snum("grants")?,
+            delivered_per_vnet,
+            delivered_per_node,
+            link_fault_drops: snum("link_fault_drops")?,
+            fault_credits_reserved: snum("fault_credits_reserved")?,
+            fault_credits_reconciled: snum("fault_credits_reconciled")?,
+            stalled_router_cycles: snum("stalled_router_cycles")?,
+            watchdog_fires: snum("watchdog_fires")?,
+            wedged_ports: snum("wedged_ports")?,
+            fault_onsets: snum("fault_onsets")?,
+            recoveries: snum("recoveries")?,
+            recovery_cycles_total: snum("recovery_cycles_total")?,
+            post_fault_delivered: snum("post_fault_delivered")?,
+            post_fault_latency_total: snum("post_fault_latency_total")?,
+            in_flight_at_end: snum("in_flight_at_end")?,
+            queued_at_end: snum("queued_at_end")?,
+            num_mesh_links,
+        };
+
+        // Network-global snapshot and scalar accounting.
+        self.net = NetSnapshot {
+            cycle: num("net_cycle")?,
+            link_utilization_prev: f64::from_bits(num("net_link_util_bits")?),
+            avg_accumulated_latency: f64::from_bits(num("net_acc_lat_bits")?),
+            in_flight_packets: num("net_in_flight")? as usize,
+        };
+        self.cycle = num("cycle")?;
+        self.next_packet_id = num("next_packet_id")?;
+        self.active_mesh_tx = to_u32(num("active_mesh_tx")?, "active_mesh_tx")?;
+        self.inflight_create_sum =
+            ((num("inflight_create_hi")? as u128) << 64) | num("inflight_create_lo")? as u128;
+        self.inflight_count = num("inflight_count")?;
+        self.period_lat_sum = num("period_lat_sum")?;
+        self.period_delivered = num("period_delivered")?;
+        self.lat_ema_q16 = num("lat_ema_q16")?;
+        self.recov_baseline_q16 = num("recov_baseline_q16")?;
+        self.recov_onset_cycle = num("recov_onset_cycle")?;
+        self.recov_pending = num("recov_pending")? != 0;
+        self.first_onset_cycle = num("first_onset_cycle")?;
+        self.fault_active_prev = num("fault_active_prev")? != 0;
+
+        let out_free_at = arr("out_free_at")?;
+        if out_free_at.len() != self.out_free_at.len() {
+            return Err("checkpoint \"out_free_at\" length does not match".into());
+        }
+        self.out_free_at = out_free_at;
+        let ifpr = arr("in_flight_per_router")?;
+        if ifpr.len() != self.in_flight_per_router.len() {
+            return Err("checkpoint \"in_flight_per_router\" length does not match".into());
+        }
+        self.in_flight_per_router = ifpr
+            .iter()
+            .map(|&n| to_u32(n, "in_flight_per_router"))
+            .collect::<Result<_, _>>()?;
+
+        // Injection queues (plus their occupancy bitmap and total).
+        self.queued_total = 0;
+        for row in json::get(obj, "inj_queues")?.as_arr("inj_queues")? {
+            let nums = ckpt::num_arr(row, "inj_queues")?;
+            if nums.is_empty() || (nums.len() - 1) % ckpt::PACKET_NUMS != 0 {
+                return Err("malformed \"inj_queues\" record".into());
+            }
+            let qi = nums[0] as usize;
+            if qi >= self.inj_queues.len() {
+                return Err(format!("injection queue index {qi} out of range"));
+            }
+            let mut q = VecDeque::with_capacity((nums.len() - 1) / ckpt::PACKET_NUMS);
+            for chunk in nums[1..].chunks(ckpt::PACKET_NUMS) {
+                q.push_back(ckpt::packet_from_nums(chunk)?);
+            }
+            if q.is_empty() {
+                continue;
+            }
+            self.queued_total += q.len() as u64;
+            self.inj_occ[qi / 64] |= 1 << (qi % 64);
+            self.inj_queues[qi] = q;
+        }
+        if self.queued_total != num("queued_total")? {
+            return Err("checkpoint \"queued_total\" disagrees with its queues".into());
+        }
+
+        // In-flight arrivals calendar.
+        let cursor = num("arrivals_cursor")?;
+        let mut items: Vec<(u64, Arrival)> = Vec::new();
+        for row in json::get(obj, "arrivals")?.as_arr("arrivals")? {
+            let nums = ckpt::num_arr(row, "arrivals")?;
+            if nums.len() < 2 {
+                return Err("malformed \"arrivals\" record".into());
+            }
+            let due = nums[0];
+            if due < cursor {
+                return Err(format!("arrival due at {due} is before cursor {cursor}"));
+            }
+            let body = &nums[2..];
+            let a = match nums[1] {
+                0 if body.len() == 3 + ckpt::PACKET_NUMS => Arrival::Router {
+                    router: RouterId(body[0] as usize),
+                    in_port: body[1] as usize,
+                    vnet: body[2] as usize,
+                    packet: ckpt::packet_from_nums(&body[3..])?,
+                },
+                1 if body.len() == ckpt::PACKET_NUMS => Arrival::Node {
+                    packet: ckpt::packet_from_nums(body)?,
+                },
+                2 if body.len() == 4 => Arrival::CreditReturn {
+                    router: RouterId(body[0] as usize),
+                    in_port: body[1] as usize,
+                    vnet: body[2] as usize,
+                    len: to_u32(body[3], "credit len")?,
+                },
+                tag => return Err(format!("malformed arrival record (tag {tag})")),
+            };
+            items.push((due, a));
+        }
+        self.arrivals = CalendarQueue::restore(self.arrivals.horizon(), cursor, items);
+
+        // Link-transmission end counters.
+        let tx_cursor = num("tx_ends_cursor")?;
+        let mut tx_items: Vec<(u64, u32)> = Vec::new();
+        for row in json::get(obj, "tx_ends")?.as_arr("tx_ends")? {
+            let nums = ckpt::num_arr(row, "tx_ends")?;
+            if nums.len() != 2 || nums[0] < tx_cursor {
+                return Err("malformed \"tx_ends\" record".into());
+            }
+            tx_items.push((nums[0], to_u32(nums[1], "tx_ends")?));
+        }
+        self.tx_ends = CalendarCounter::restore(self.tx_ends.horizon(), tx_cursor, tx_items);
+
+        // Buffer contents, credit books, and the occupancy bitmap.
+        for row in json::get(obj, "buffers")?.as_arr("buffers")? {
+            let nums = ckpt::num_arr(row, "buffers")?;
+            if nums.len() < 5 || (nums.len() - 5) % ckpt::BUFFERED_NUMS != 0 {
+                return Err("malformed \"buffers\" record".into());
+            }
+            let bi = nums[0] as usize;
+            if bi >= self.bufs.num_buffers() {
+                return Err(format!("buffer index {bi} out of range"));
+            }
+            let book = (
+                to_u32(nums[1], "used")?,
+                to_u32(nums[2], "reserved")?,
+                to_u32(nums[3], "shrink")?,
+            );
+            let mut packets = VecDeque::with_capacity((nums.len() - 5) / ckpt::BUFFERED_NUMS);
+            for chunk in nums[5..].chunks(ckpt::BUFFERED_NUMS) {
+                packets.push_back(ckpt::buffered_from_nums(chunk)?);
+            }
+            let occupied = !packets.is_empty();
+            self.bufs.restore_buffer(bi, packets, book, nums[4]);
+            if occupied {
+                let r = bi / (self.ports * self.vnets);
+                let slot = bi % (self.ports * self.vnets);
+                self.occ_set(r, slot);
+            }
+        }
+
+        // Fault runtime: the timeline tables are pure functions of the
+        // plan and are rebuilt; only the retry backoff state is restored.
+        if let Some(fv) = maybe("faults") {
+            let fobj = fv.as_obj("faults")?;
+            let plan = FaultPlan::from_value(json::get(fobj, "plan")?)?;
+            plan.validate(&self.topo)?;
+            if plan.is_empty() {
+                return Err("checkpoint carries an empty fault plan".into());
+            }
+            let mut fr = Box::new(FaultRuntime::new(&plan, &self.topo, self.cfg.num_vnets));
+            let hold = ckpt::num_arr(json::get(fobj, "hold_until")?, "hold_until")?;
+            let retry = ckpt::num_arr(json::get(fobj, "retry_count")?, "retry_count")?
+                .iter()
+                .map(|&n| to_u32(n, "retry_count"))
+                .collect::<Result<Vec<u32>, _>>()?;
+            fr.restore_retry_state(hold, retry)?;
+            self.faults = Some(fr);
+        }
+
+        // Invariant checker: re-armed from scratch, then its books are
+        // overwritten so checking continues seamlessly mid-run.
+        if let Some(cv) = maybe("checker") {
+            let cobj = cv.as_obj("checker")?;
+            let cnum = |k: &str| -> Result<u64, String> { json::get(cobj, k)?.as_u64(k) };
+            let carr =
+                |k: &str| -> Result<Vec<u64>, String> { ckpt::num_arr(json::get(cobj, k)?, k) };
+            let flow_flat = carr("last_in_flow")?;
+            if flow_flat.len() % 4 != 0 {
+                return Err("malformed \"last_in_flow\" record".into());
+            }
+            let snap = CheckerSnapshot {
+                created: cnum("created")?,
+                delivered: cnum("delivered")?,
+                created_at_reset: cnum("created_at_reset")?,
+                delivered_at_reset: cnum("delivered_at_reset")?,
+                fault_reserved: cnum("fault_reserved")?,
+                fault_reconciled: cnum("fault_reconciled")?,
+                fault_reserved_at_reset: cnum("fault_reserved_at_reset")?,
+                fault_reconciled_at_reset: cnum("fault_reconciled_at_reset")?,
+                delivered_ids: carr("delivered_ids")?,
+                last_in_flow: flow_flat
+                    .chunks(4)
+                    .map(|c| (c[0], c[1], c[2], c[3]))
+                    .collect(),
+                expected_reserved: carr("expected_reserved")?
+                    .iter()
+                    .map(|&n| n as i64)
+                    .collect(),
+                total_violations: cnum("total_violations")?,
+            };
+            let mut checker = InvariantChecker::new(
+                self.topo.num_routers(),
+                self.ports,
+                self.vnets,
+                self.cfg.routing.is_deterministic(),
+            );
+            checker.restore_snapshot(snap)?;
+            self.checker = Some(Box::new(checker));
+        }
+
+        // Buffer controller: like the arbiter, the controller *object* is
+        // a construction-time input (installed on the fresh simulator via
+        // `set_buffer_controller` before `restore_checkpoint`); only its
+        // mutable state and the simulator-owned actuation books travel in
+        // the checkpoint. Presence and name must match on both sides.
+        match (maybe("vc_ctl"), &mut self.vc_ctl) {
+            (None, None) => {}
+            (Some(_), None) => {
+                return Err(
+                    "checkpoint carries buffer-controller state but none is installed; \
+                     call set_buffer_controller before restoring"
+                        .into(),
+                );
+            }
+            (None, Some(_)) => {
+                return Err(
+                    "a buffer controller is installed but the checkpoint carries no \
+                     controller state"
+                        .into(),
+                );
+            }
+            (Some(cv), Some(c)) => {
+                let cobj = cv.as_obj("vc_ctl")?;
+                let name = json::get(cobj, "name")?.as_str("name")?;
+                if name != c.ctl.name() {
+                    return Err(format!(
+                        "checkpoint buffer controller \"{name}\" does not match installed \"{}\"",
+                        c.ctl.name()
+                    ));
+                }
+                let n = c.withhold.len();
+                let withhold = ckpt::num_arr(json::get(cobj, "withhold")?, "withhold")?;
+                let fault_shrink =
+                    ckpt::num_arr(json::get(cobj, "fault_shrink")?, "fault_shrink")?;
+                if withhold.len() != n || fault_shrink.len() != n {
+                    return Err("checkpoint \"vc_ctl\" vector shapes do not match".into());
+                }
+                c.withhold = withhold
+                    .iter()
+                    .map(|&v| to_u32(v, "withhold"))
+                    .collect::<Result<_, _>>()?;
+                c.fault_shrink = fault_shrink
+                    .iter()
+                    .map(|&v| to_u32(v, "fault_shrink"))
+                    .collect::<Result<_, _>>()?;
+                c.epochs_run = json::get(cobj, "epochs_run")?.as_u64("epochs_run")?;
+                c.ctl
+                    .restore_state(json::get(cobj, "state")?.as_str("state")?)?;
+            }
+        }
+
+        // Opaque policy and traffic state, last: everything structural is
+        // already in place if these implementations want to sanity-check.
+        self.traffic
+            .restore_state(json::get(obj, "traffic")?.as_str("traffic")?)?;
+        self.arbiter
+            .restore_state(json::get(obj, "arbiter")?.as_str("arbiter")?)?;
+        Ok(())
+    }
+}

@@ -1,21 +1,194 @@
-//! Bridging trained agents to [`nn_mlp::Checkpoint`]s — the producer and
-//! consumer sides of the content-addressed artifact store.
+//! Trained-model checkpoints — the artifact store's file format — and
+//! the bridge between them and trained agents.
 //!
-//! A checkpoint carries everything needed to rebuild the frozen
+//! A [`Checkpoint`] carries everything needed to rebuild the frozen
 //! evaluation policy *without retraining*: the weights (round-trip exact),
 //! the encoder geometry and feature bounds, and the full `agent.*`
 //! hyperparameter set. [`policy_from_checkpoint`] is byte-equivalent to
 //! `outcome.agent.freeze()` because the frozen arbiter's remaining inputs
 //! (inference ε, tie-break RNG seed) are fixed constants.
 
-use nn_mlp::Checkpoint;
+use std::fmt::Write as _;
+
+use nn_mlp::Mlp;
 use noc_arbiters::RlInspiredSynthetic;
+use noc_sim::codec::{json_num, json_str, Json, ObjExt};
 use noc_sim::FeatureBounds;
 
 use crate::agent::{AgentConfig, NnPolicyArbiter};
 use crate::features::{Feature, FeatureSet, StateEncoder};
 use crate::interpret::weight_heatmap;
 use crate::train::TrainOutcome;
+
+/// Version stamp of the checkpoint JSON schema
+/// ([`Checkpoint::to_json`]). Bump on any breaking change and teach
+/// consumers both shapes.
+pub const CHECKPOINT_SCHEMA_VERSION: u64 = 1;
+
+/// A versioned trained-model checkpoint: the network plus everything a
+/// consumer needs to rebuild the policy and audit where it came from.
+///
+/// The weights travel as the embedded `mlp v1` text (round-trip exact:
+/// floats are written in Rust's shortest form that parses back to the
+/// same bits), so `save → load` reproduces the `Mlp` bit-identically.
+/// The `config` entries are an ordered string map holding the agent and
+/// encoder configuration ([`checkpoint_from_outcome`] writes them).
+///
+/// Schema v1 layout:
+///
+/// ```json
+/// {
+///   "ckpt_schema": 1,
+///   "recipe_hash": "<fnv-1a of the training recipe>",
+///   "git_describe": "<producing checkout>",
+///   "converged": true | false | null,
+///   "curve": [..],
+///   "accuracy": [..],
+///   "config": {"k": "v", ...},
+///   "model": "mlp v1\n..."
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// Content hash of the training recipe that produced the model (the
+    /// artifact store's addressing key).
+    pub recipe_hash: String,
+    /// `git describe` of the producing checkout (`"unknown"` offline).
+    pub git_describe: String,
+    /// The trainer's convergence verdict, when early-stop was armed;
+    /// `None` when the trainer ran the full epoch budget unconditionally.
+    pub converged: Option<bool>,
+    /// Learning curve: average message latency per training epoch.
+    pub curve: Vec<f64>,
+    /// Oracle-match accuracy per training epoch.
+    pub accuracy: Vec<f64>,
+    /// Ordered key/value configuration entries (agent hyperparameters,
+    /// encoder shape, feature bounds).
+    pub config: Vec<(String, String)>,
+    /// The trained network.
+    pub model: Mlp,
+}
+
+impl Checkpoint {
+    /// Looks up a config entry by key.
+    pub fn config_value(&self, key: &str) -> Option<&str> {
+        self.config.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Serializes the checkpoint as pretty-printed JSON (schema v1).
+    ///
+    /// Emission order is fixed, so equal checkpoints serialize to equal
+    /// bytes — the property the golden-file test pins.
+    pub fn to_json(&self) -> String {
+        // Learning curves are always finite; a non-finite value would not
+        // survive JSON and is a caller bug.
+        let f64_list = |values: &[f64]| -> String {
+            debug_assert!(values.iter().all(|v| v.is_finite()), "non-finite curve value");
+            values.iter().map(|v| json_num(*v)).collect::<Vec<_>>().join(", ")
+        };
+        let mut s = String::new();
+        s.push_str("{\n");
+        let _ = writeln!(s, "  \"ckpt_schema\": {CHECKPOINT_SCHEMA_VERSION},");
+        let _ = writeln!(s, "  \"recipe_hash\": {},", json_str(&self.recipe_hash));
+        let _ = writeln!(s, "  \"git_describe\": {},", json_str(&self.git_describe));
+        match self.converged {
+            Some(c) => {
+                let _ = writeln!(s, "  \"converged\": {c},");
+            }
+            None => s.push_str("  \"converged\": null,\n"),
+        }
+        let _ = writeln!(s, "  \"curve\": [{}],", f64_list(&self.curve));
+        let _ = writeln!(s, "  \"accuracy\": [{}],", f64_list(&self.accuracy));
+        if self.config.is_empty() {
+            s.push_str("  \"config\": {},\n");
+        } else {
+            s.push_str("  \"config\": {\n");
+            for (i, (k, v)) in self.config.iter().enumerate() {
+                let _ = write!(s, "    {}: {}", json_str(k), json_str(v));
+                s.push_str(if i + 1 < self.config.len() { ",\n" } else { "\n" });
+            }
+            s.push_str("  },\n");
+        }
+        let _ = writeln!(s, "  \"model\": {}", json_str(&self.model.to_text()));
+        s.push_str("}\n");
+        s
+    }
+
+    /// Parses a checkpoint back from JSON.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first structural problem: malformed
+    /// JSON, a schema version this build does not understand, missing or
+    /// mistyped fields, or an embedded model that fails [`Mlp::from_text`].
+    pub fn from_json(text: &str) -> Result<Checkpoint, String> {
+        let value = Json::parse(text)?;
+        let obj = value.as_object()?;
+        let field = |key: &str| obj.get(key).ok_or_else(|| format!("missing '{key}'"));
+        let schema = field("ckpt_schema")?.as_u64()?;
+        if schema != CHECKPOINT_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported checkpoint schema {schema} (this build reads v{CHECKPOINT_SCHEMA_VERSION})"
+            ));
+        }
+        let converged = match field("converged")? {
+            Json::Null => None,
+            Json::Bool(b) => Some(*b),
+            other => return Err(format!("'converged' must be bool or null, got {other:?}")),
+        };
+        let f64_list = |key: &str| -> Result<Vec<f64>, String> {
+            field(key)?
+                .as_array()?
+                .iter()
+                .map(|v| match v {
+                    Json::Null => Err("expected number, got Null".to_string()),
+                    v => v.as_f64(),
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| format!("'{key}': {e}"))
+        };
+        let mut config = Vec::new();
+        for (k, v) in field("config")?.as_object()? {
+            config.push((k.clone(), v.as_str()?));
+        }
+        let model_text = field("model")?.as_str()?;
+        let model = Mlp::from_text(&model_text).map_err(|e| format!("embedded model: {e}"))?;
+        Ok(Checkpoint {
+            recipe_hash: field("recipe_hash")?.as_str()?,
+            git_describe: field("git_describe")?.as_str()?,
+            converged,
+            curve: f64_list("curve")?,
+            accuracy: f64_list("accuracy")?,
+            config,
+            model,
+        })
+    }
+
+    /// Writes the checkpoint to a file, creating parent directories.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+        let path = path.as_ref();
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        std::fs::write(path, self.to_json())
+    }
+
+    /// Reads a checkpoint from a file.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error for unreadable files, or an
+    /// `InvalidData`-wrapped message for malformed content.
+    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Checkpoint> {
+        let text = std::fs::read_to_string(path)?;
+        Checkpoint::from_json(&text)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
 
 /// Builds a schema-v1 checkpoint from a finished training run.
 ///
@@ -227,5 +400,83 @@ mod tests {
             }
         }
         assert!(distill_checkpoint(&stripped).is_err());
+    }
+
+    fn sample_checkpoint() -> Checkpoint {
+        Checkpoint {
+            recipe_hash: "00ff00ff00ff00ff".into(),
+            git_describe: "v0-test".into(),
+            converged: Some(true),
+            curve: vec![10.5, 7.25, 0.1 + 0.2], // deliberately awkward float
+            accuracy: vec![0.5, 0.75],
+            config: vec![
+                ("hidden".into(), "15".into()),
+                ("features".into(), "payload_size,local_age".into()),
+                ("note \"quoted\"\n".into(), "tab\there".into()),
+            ],
+            model: Mlp::paper_agent(4, 3, 2, 7),
+        }
+    }
+
+    #[test]
+    fn checkpoint_roundtrips_bit_identically() {
+        let ckpt = sample_checkpoint();
+        let json = ckpt.to_json();
+        let back = Checkpoint::from_json(&json).unwrap();
+        assert_eq!(ckpt, back);
+        // Serialization is a fixpoint, so equal checkpoints mean equal bytes.
+        assert_eq!(json, back.to_json());
+        // And the embedded model is bitwise the same network.
+        let x = [0.1, 0.2, 0.3, 0.4];
+        assert_eq!(ckpt.model.forward(&x), back.model.forward(&x));
+    }
+
+    #[test]
+    fn checkpoint_roundtrips_through_file() {
+        let mut ckpt = sample_checkpoint();
+        ckpt.converged = None;
+        let dir = std::env::temp_dir().join("rl_arb_ckpt_test");
+        let path = dir.join("nested").join("a.ckpt.json");
+        ckpt.save(&path).unwrap();
+        let back = Checkpoint::load(&path).unwrap();
+        assert_eq!(ckpt, back);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_schema_version_is_enforced() {
+        let json = sample_checkpoint().to_json().replace(
+            "\"ckpt_schema\": 1,",
+            "\"ckpt_schema\": 99,",
+        );
+        let err = Checkpoint::from_json(&json).unwrap_err();
+        assert!(err.contains("unsupported checkpoint schema 99"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_missing_field_is_reported() {
+        let err = Checkpoint::from_json("{\"ckpt_schema\": 1}").unwrap_err();
+        assert!(err.contains("missing 'converged'") || err.contains("missing '"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_rejects_malformed_json() {
+        assert!(Checkpoint::from_json("{\"ckpt_schema\": 1,").is_err());
+        assert!(Checkpoint::from_json("[]").is_err());
+        assert!(Checkpoint::from_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn checkpoint_rejects_corrupt_embedded_model() {
+        let json = sample_checkpoint().to_json().replace("mlp v1", "mlp v9");
+        let err = Checkpoint::from_json(&json).unwrap_err();
+        assert!(err.contains("embedded model"), "{err}");
+    }
+
+    #[test]
+    fn config_value_finds_entries() {
+        let ckpt = sample_checkpoint();
+        assert_eq!(ckpt.config_value("hidden"), Some("15"));
+        assert_eq!(ckpt.config_value("absent"), None);
     }
 }

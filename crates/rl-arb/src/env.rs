@@ -12,11 +12,12 @@
 
 use apu_sim::{make_apu_sim, ApuEngine, EngineConfig, WorkloadSpec, APU_MESH, NUM_QUADRANTS};
 use apu_workloads::Benchmark;
+use noc_sim::codec::fnv1a64;
 use noc_sim::{SimConfig, Simulator, SyntheticTraffic, Topology};
 
 use crate::agent::{AgentConfig, SharedAgent};
 use crate::features::{FeatureSet, StateEncoder};
-use crate::train::{fnv1a64, TrainSpec};
+use crate::train::TrainSpec;
 
 /// An environment the generic trainer can run an agent in: it knows the
 /// router geometry (for the state encoder), the epoch schedule, and how

@@ -52,7 +52,7 @@ mod vc_ctl;
 pub use agent::{AgentConfig, DqnAgent, InferenceMode, NnPolicyArbiter, RlAgentArbiter, SharedAgent};
 pub use ckpt::{
     agent_config_from_checkpoint, checkpoint_from_outcome, distill_checkpoint,
-    encoder_from_checkpoint, policy_from_checkpoint,
+    encoder_from_checkpoint, policy_from_checkpoint, Checkpoint, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use env::{ApuEnv, ApuTrainSpec, SyntheticEnv, TrainEnv, TrainRecipe};
 pub use features::{Feature, FeatureSet, StateEncoder};
@@ -65,6 +65,6 @@ pub use online::OnlinePolicy;
 pub use progress::{is_quiet, set_quiet};
 pub use replay::{Experience, PrioritizedReplay, ReplayMemory};
 pub use reward::RewardKind;
-pub use train::{fnv1a64, train_synthetic, TrainOutcome, TrainSpec};
+pub use train::{train_synthetic, TrainOutcome, TrainSpec};
 pub use trainer::{training_epochs, Trainer};
 pub use vc_ctl::RlVcController;

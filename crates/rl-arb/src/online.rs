@@ -28,12 +28,12 @@
 //! (pinned by a property test): the frozen baseline is literally the
 //! zero-learning point of this policy's configuration space.
 
-use nn_mlp::{Activation, Checkpoint, DenseLayer, Mlp};
+use nn_mlp::{Activation, DenseLayer, Mlp};
 use noc_sim::{Arbiter, NetSnapshot, OutputCtx, SplitMix64};
 use std::collections::BTreeMap;
 
 use crate::agent::{greedy_choice_with, AgentConfig, InferenceScratch};
-use crate::ckpt::encoder_from_checkpoint;
+use crate::ckpt::{encoder_from_checkpoint, Checkpoint};
 use crate::features::StateEncoder;
 use crate::replay::Experience;
 

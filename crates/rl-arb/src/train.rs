@@ -1,23 +1,13 @@
 //! Training drivers: run the agent inside a live simulation and record
 //! learning curves (the raw material of Figs. 5, 12 and 13).
 
+use noc_sim::codec::fnv1a64;
 use noc_sim::{FeatureBounds, Pattern};
 
 use crate::agent::{AgentConfig, DqnAgent};
 use crate::env::SyntheticEnv;
 use crate::features::FeatureSet;
 use crate::trainer::Trainer;
-
-/// FNV-1a 64-bit hash — the workspace's content hash for pure-data
-/// recipes and experiment specs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Specification of a synthetic-traffic training run.
 #[derive(Debug, Clone)]

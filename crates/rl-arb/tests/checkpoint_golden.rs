@@ -2,9 +2,10 @@
 //! interface, pinned by a checked-in golden file.
 //!
 //! To regenerate the golden after an intentional schema bump:
-//! `BLESS=1 cargo test -p nn-mlp --test checkpoint_golden`.
+//! `BLESS=1 cargo test -p rl-arb --test checkpoint_golden`.
 
-use nn_mlp::{Checkpoint, Mlp, CHECKPOINT_SCHEMA_VERSION};
+use nn_mlp::Mlp;
+use rl_arb::{Checkpoint, CHECKPOINT_SCHEMA_VERSION};
 
 fn sample_checkpoint() -> Checkpoint {
     Checkpoint {

@@ -1,0 +1,79 @@
+//! Tier-1 smoke of the layers the facade tests never reach: the
+//! experiment service (plan / probe / queue / drain / assemble, result
+//! cache and RunRecord I/O) and the simulator snapshot codec.
+
+use std::sync::Mutex;
+
+use bench::exp::driver::run_figures_queued;
+use bench::CliArgs;
+use ml_noc::noc_arbiters::{make_arbiter, PolicyKind};
+use ml_noc::noc_sim::{
+    simulated_cycles, Pattern, SimCheckpoint, SimConfig, Simulator, SyntheticTraffic, Topology,
+};
+
+/// `simulated_cycles` is process-wide, and the harness runs tests on
+/// parallel threads: whoever simulates holds this.
+static SIMULATING: Mutex<()> = Mutex::new(());
+
+#[test]
+fn warm_figure_answers_from_the_cache_with_the_same_record() {
+    let _guard = SIMULATING.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("ml-noc-service-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = |run: &str| CliArgs {
+        quick: true,
+        quiet: true,
+        out_dir: dir.join(run),
+        artifacts_dir: dir.join("artifacts"),
+        cache_dir: dir.join("cache"),
+        ..CliArgs::default()
+    };
+
+    let mut cold = run_figures_queued(&["routing"], &args("cold")).unwrap().remove(0);
+    assert!(!cold.cells.is_empty());
+    assert!(cold.cells.iter().all(|c| c.cache.as_deref() == Some("miss")));
+
+    let before = simulated_cycles();
+    let mut warm = run_figures_queued(&["routing"], &args("warm")).unwrap().remove(0);
+    assert_eq!(simulated_cycles(), before, "a warm run simulates nothing");
+    assert!(warm.cells.iter().all(|c| c.cache.as_deref() == Some("hit")));
+
+    for cell in cold.cells.iter_mut().chain(&mut warm.cells) {
+        cell.cache = None;
+    }
+    assert_eq!(cold, warm);
+    let file = |run: &str, name: &str| std::fs::read(dir.join(run).join(name)).unwrap();
+    assert_eq!(file("cold", "routing.csv"), file("warm", "routing.csv"));
+    assert!(!file("cold", "routing.json").is_empty() && !file("warm", "routing.json").is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn sim(seed: u64) -> Simulator<SyntheticTraffic> {
+    let topo = Topology::uniform_mesh(4, 4).unwrap();
+    let cfg = SimConfig::synthetic(4, 4);
+    let traffic = SyntheticTraffic::new(&topo, Pattern::UniformRandom, 0.2, cfg.num_vnets, seed);
+    Simulator::new(topo, cfg, make_arbiter(PolicyKind::GlobalAge, seed), traffic).unwrap()
+}
+
+#[test]
+fn a_run_split_through_snapshot_text_matches_the_unsplit_run() {
+    let _guard = SIMULATING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut whole = sim(9);
+    whole.run(1_500);
+
+    let mut first = sim(9);
+    first.run(600);
+    let text = first.checkpoint().unwrap().to_json().to_string();
+    drop(first);
+    let mut second = sim(9);
+    second
+        .restore_checkpoint(&SimCheckpoint::from_json(&text).unwrap())
+        .unwrap();
+    second.run(900);
+
+    assert_eq!(format!("{:?}", second.stats()), format!("{:?}", whole.stats()));
+    assert_eq!(
+        second.checkpoint().unwrap().content_hash(),
+        whole.checkpoint().unwrap().content_hash()
+    );
+}
