@@ -113,17 +113,9 @@ impl ArtifactStore {
         let mut env = recipe.env()?;
         let outcome = Trainer::new(recipe.agent_config().clone()).run(env.as_mut());
         let ckpt = checkpoint_from_outcome(&outcome, &recipe_hash, &git_describe());
-        // Write-then-rename so concurrent resolvers of the same recipe
-        // (parallel test threads, parallel figure runs) never observe a
-        // half-written checkpoint.
-        static TMP_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            ".{recipe_hash}.{}.{}.tmp",
-            std::process::id(),
-            TMP_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        ckpt.save(&tmp)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        // Atomic, so concurrent resolvers of the same recipe never observe
+        // a half-written checkpoint.
+        crate::write_atomic(&path, &ckpt.to_json())
             .map_err(|e| format!("writing artifact {}: {e}", path.display()))?;
         rl_arb::progress!("NN artifact {recipe_hash} written to {}", path.display());
         Ok(ResolvedArtifact {
@@ -163,10 +155,15 @@ mod tests {
         assert!(!cold.was_cached);
         assert!(cold.path.exists(), "checkpoint written");
 
-        let before = training_epochs();
+        // Witnesses local to this test (the global epoch counter also
+        // counts sibling tests training on other threads): a warm resolve
+        // neither rewrites nor touches the checkpoint.
+        let bytes = std::fs::read(&cold.path).unwrap();
+        let mtime = std::fs::metadata(&cold.path).unwrap().modified().unwrap();
         let warm = store.resolve(&recipe).unwrap();
-        assert!(warm.was_cached);
-        assert_eq!(training_epochs(), before, "warm resolve must not train");
+        assert!(warm.was_cached, "warm resolve must not train");
+        assert_eq!(std::fs::read(&warm.path).unwrap(), bytes);
+        assert_eq!(std::fs::metadata(&warm.path).unwrap().modified().unwrap(), mtime);
         assert_eq!(warm.recipe_hash, cold.recipe_hash);
         // Bit-identical policy (Debug covers weights + full arbiter state).
         assert_eq!(format!("{:?}", warm.policy), format!("{:?}", cold.policy));

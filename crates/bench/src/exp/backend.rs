@@ -1,15 +1,14 @@
-//! `SimBackend` — one `run(&SpecInstance) -> CellRecord` entry point over
-//! both simulators.
+//! `run_cell` — one `&SpecInstance -> CellRecord` entry point over both
+//! simulators.
 //!
 //! The synthetic mesh (`noc-sim`'s open-loop runner) and the APU chip
 //! (`apu-sim`'s closed-loop engine) historically exposed incompatible run
-//! APIs; every figure binary glued one of them by hand. A backend hides
+//! APIs; every figure binary glued one of them by hand. [`run_cell`] hides
 //! that behind a single call that takes one resolved cell of the run
-//! matrix and returns its metrics. Backends are stateless and `Sync`, so
-//! cells dispatch freely across the sweep worker pool.
+//! matrix and returns its metrics. It holds no state, so cells dispatch
+//! freely across the sweep worker pool.
 
-use apu_sim::NUM_QUADRANTS;
-use apu_sim::WorkloadSpec;
+use apu_sim::{EngineConfig, WorkloadSpec, NUM_QUADRANTS};
 use apu_workloads::{mixed_scenario, Benchmark};
 use noc_sim::{FaultPlan, SimConfig, Simulator, SyntheticTraffic};
 
@@ -72,6 +71,20 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
+    /// A cell with no trained artifact, fault plan or cache provenance.
+    pub fn new(scenario: String, policy: String, seed: u64, metrics: Vec<(String, f64)>) -> Self {
+        CellRecord {
+            scenario,
+            policy,
+            seed,
+            artifact: None,
+            fault_plan: None,
+            cell_hash: None,
+            cache: None,
+            metrics,
+        }
+    }
+
     /// Looks up a metric by name.
     ///
     /// # Panics
@@ -92,39 +105,17 @@ impl CellRecord {
     }
 }
 
-/// A simulator wrapped behind the uniform experiment entry point.
-pub trait SimBackend: Sync {
-    /// Stable backend name recorded in `RunRecord` JSON.
-    fn name(&self) -> &'static str;
-
-    /// Runs one cell to completion and returns its metrics.
-    fn run(&self, inst: &SpecInstance<'_>) -> CellRecord;
-}
-
-/// Picks the backend a scenario runs on.
-pub fn backend_for(scenario: &ScenarioSpec) -> &'static dyn SimBackend {
-    if scenario.is_apu() {
-        &ApuBackend
-    } else {
-        &SyntheticBackend
-    }
-}
-
-/// Open-loop synthetic-traffic mesh backend (`noc-sim`).
+/// Runs one cell to completion on the simulator its scenario names and
+/// returns its metrics.
 ///
-/// Runs `warmup` cycles, resets statistics, then measures `measure`
-/// cycles — or, with `warmup == 0`, measures from cycle zero (the
-/// starvation check's configuration).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SyntheticBackend;
-
-impl SimBackend for SyntheticBackend {
-    fn name(&self) -> &'static str {
-        "synthetic"
-    }
-
-    fn run(&self, inst: &SpecInstance<'_>) -> CellRecord {
-        let ScenarioSpec::Synthetic {
+/// Synthetic scenarios run on `noc-sim`'s open-loop mesh: `warmup`
+/// cycles, a statistics reset, then `measure` cycles — or, with
+/// `warmup == 0`, measurement from cycle zero (the starvation check's
+/// configuration). APU scenarios run `apu-sim`'s closed-loop chip, four
+/// workload copies (one per quadrant), to completion or the cycle budget.
+pub fn run_cell(inst: &SpecInstance<'_>) -> CellRecord {
+    let metrics = match inst.scenario {
+        ScenarioSpec::Synthetic {
             width,
             height,
             pattern,
@@ -134,49 +125,39 @@ impl SimBackend for SyntheticBackend {
             starvation_threshold,
             noc,
             ..
-        } = inst.scenario
-        else {
-            panic!("synthetic backend got a non-synthetic scenario");
-        };
-        let topo = topo.build(*width, *height).expect("valid topology");
-        let mut cfg = SimConfig::synthetic(*width, *height);
-        cfg.routing = *routing;
-        if let Some(n) = noc {
-            cfg.num_vnets = n.vnets;
-            cfg.vc_capacity_flits = n.vc_capacity_flits;
-        }
-        // Mesh scenarios keep their historical diameter-derived bounds
-        // bit-identically (`for_topology` ≡ `for_mesh` there); other graphs
-        // get bounds from their own diameter.
-        cfg.feature_bounds = noc_sim::FeatureBounds::for_topology(&topo);
-        if let Some(t) = starvation_threshold {
-            cfg.starvation_threshold = *t;
-        }
-        let traffic = SyntheticTraffic::new(&topo, *pattern, *rate, cfg.num_vnets, inst.seed);
-        let mut sim = Simulator::new(topo, cfg, inst.policy.build(inst.seed), traffic)
-            .expect("valid sim");
-        if let Some(ctl) = inst.policy.build_controller(inst.seed) {
-            sim.set_buffer_controller(ctl);
-        }
-        if let Some(plan) = inst.faults {
-            sim.set_fault_plan(plan);
-        }
-        if inst.params.warmup > 0 {
-            sim.run(inst.params.warmup);
-            sim.reset_stats();
-        }
-        sim.run(inst.params.measure);
-        let starving = sim.starving_packets();
-        let s = sim.stats();
-        CellRecord {
-            scenario: inst.label.to_string(),
-            policy: inst.policy_name.to_string(),
-            seed: inst.seed,
-            artifact: inst.artifact.map(String::from),
-            fault_plan: inst.faults.map(FaultPlan::hash_hex),
-            cell_hash: None,
-            cache: None,
-            metrics: vec![
+        } => {
+            let topo = topo.build(*width, *height).expect("valid topology");
+            let mut cfg = SimConfig::synthetic(*width, *height);
+            cfg.routing = *routing;
+            if let Some(n) = noc {
+                cfg.num_vnets = n.vnets;
+                cfg.vc_capacity_flits = n.vc_capacity_flits;
+            }
+            // Mesh scenarios keep their historical diameter-derived bounds
+            // bit-identically (`for_topology` ≡ `for_mesh` there); other
+            // graphs get bounds from their own diameter.
+            cfg.feature_bounds = noc_sim::FeatureBounds::for_topology(&topo);
+            if let Some(t) = starvation_threshold {
+                cfg.starvation_threshold = *t;
+            }
+            let traffic =
+                SyntheticTraffic::new(&topo, *pattern, *rate, cfg.num_vnets, inst.seed);
+            let mut sim = Simulator::new(topo, cfg, inst.policy.build(inst.seed), traffic)
+                .expect("valid sim");
+            if let Some(ctl) = inst.policy.build_controller(inst.seed) {
+                sim.set_buffer_controller(ctl);
+            }
+            if let Some(plan) = inst.faults {
+                sim.set_fault_plan(plan);
+            }
+            if inst.params.warmup > 0 {
+                sim.run(inst.params.warmup);
+                sim.reset_stats();
+            }
+            sim.run(inst.params.measure);
+            let starving = sim.starving_packets();
+            let s = sim.stats();
+            vec![
                 ("avg_latency".into(), s.avg_latency()),
                 ("p99_latency".into(), s.latency_percentile(99.0) as f64),
                 ("p999_latency".into(), s.latency_percentile(99.9) as f64),
@@ -195,46 +176,31 @@ impl SimBackend for SyntheticBackend {
                 ("recoveries".into(), s.recoveries as f64),
                 ("recovery_time".into(), s.avg_recovery_cycles(inst.params.measure)),
                 ("post_fault_latency".into(), s.post_fault_avg_latency()),
-            ],
+            ]
         }
-    }
-}
-
-/// Closed-loop APU chip backend (`apu-sim`): four workload copies, one per
-/// quadrant, run to completion or the cycle budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ApuBackend;
-
-impl SimBackend for ApuBackend {
-    fn name(&self) -> &'static str {
-        "apu"
-    }
-
-    fn run(&self, inst: &SpecInstance<'_>) -> CellRecord {
-        let specs = apu_specs_for(inst.scenario, inst.base_seed, inst.params.apu_scale);
-        let r = crate::apu_run_with_faults(
-            specs,
-            inst.policy.build(inst.seed),
-            inst.seed,
-            inst.params.max_cycles,
-            inst.faults,
-        );
-        CellRecord {
-            scenario: inst.label.to_string(),
-            policy: inst.policy_name.to_string(),
-            seed: inst.seed,
-            artifact: inst.artifact.map(String::from),
-            fault_plan: inst.faults.map(FaultPlan::hash_hex),
-            cell_hash: None,
-            cache: None,
-            metrics: vec![
+        ScenarioSpec::ApuWorkload { .. } | ScenarioSpec::ApuMix { .. } => {
+            let specs = apu_specs_for(inst.scenario, inst.base_seed, inst.params.apu_scale);
+            let r = apu_sim::run_apu_with_faults(
+                specs,
+                inst.policy.build(inst.seed),
+                EngineConfig::default(),
+                inst.seed,
+                inst.params.max_cycles,
+                inst.faults,
+            );
+            vec![
                 ("avg_exec".into(), r.avg_exec),
                 ("tail_exec".into(), r.tail_exec as f64),
                 ("completed".into(), if r.completed { 1.0 } else { 0.0 }),
                 ("delivered".into(), r.stats.delivered as f64),
                 ("avg_latency".into(), r.stats.avg_latency()),
-            ],
+            ]
         }
+    };
+    CellRecord {
+        artifact: inst.artifact.map(String::from),
+        fault_plan: inst.faults.map(FaultPlan::hash_hex),
+        ..CellRecord::new(inst.label.into(), inst.policy_name.into(), inst.seed, metrics)
     }
 }
 
@@ -246,7 +212,7 @@ pub fn apu_specs_for(scenario: &ScenarioSpec, base_seed: u64, scale: f64) -> Vec
         }
         ScenarioSpec::ApuMix { n_low } => mixed_scenario(*n_low, base_seed, scale),
         ScenarioSpec::Synthetic { .. } => {
-            panic!("APU backend got a synthetic scenario")
+            panic!("APU workload specs asked of a synthetic scenario")
         }
     }
 }
@@ -267,7 +233,7 @@ pub fn benchmark_by_name(name: &str) -> Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use super::super::spec::TopoSpec;
+    use super::super::spec::{mesh4x4, TopoSpec};
     use noc_arbiters::PolicyKind;
     use noc_sim::{Pattern, RoutingKind};
 
@@ -282,21 +248,11 @@ mod tests {
 
     #[test]
     fn synthetic_backend_smoke() {
-        let scenario = ScenarioSpec::Synthetic {
-            label: "4x4".into(),
-            width: 4,
-            height: 4,
-            pattern: Pattern::UniformRandom,
-            rate: 0.1,
-            topo: TopoSpec::Mesh,
-            routing: RoutingKind::XY,
-            starvation_threshold: None,
-            noc: None,
-            lineup: None,
-        };
+        let scenario =
+            mesh4x4("4x4", Pattern::UniformRandom, 0.1, TopoSpec::Mesh, RoutingKind::XY);
         let policy = PolicySpec::builtin("FIFO", PolicyKind::Fifo);
         let params = tiny_params();
-        let cell = SyntheticBackend.run(&SpecInstance {
+        let cell = run_cell(&SpecInstance {
             scenario: &scenario,
             label: "4x4",
             policy_name: "fifo",
@@ -326,19 +282,8 @@ mod tests {
         let policy = PolicySpec::builtin("FIFO", PolicyKind::Fifo);
         let params = tiny_params();
         for (topo, routing, label) in cases {
-            let scenario = ScenarioSpec::Synthetic {
-                label: label.into(),
-                width: 4,
-                height: 4,
-                pattern: Pattern::UniformRandom,
-                rate: 0.1,
-                topo,
-                routing,
-                starvation_threshold: None,
-                noc: None,
-                lineup: None,
-            };
-            let cell = SyntheticBackend.run(&SpecInstance {
+            let scenario = mesh4x4(label, Pattern::UniformRandom, 0.1, topo, routing);
+            let cell = run_cell(&SpecInstance {
                 scenario: &scenario,
                 label,
                 policy_name: "fifo",
@@ -369,8 +314,8 @@ mod tests {
             artifact: None,
             faults: None,
         };
-        let a = ApuBackend.run(&inst(7));
-        let b = ApuBackend.run(&inst(7));
+        let a = run_cell(&inst(7));
+        let b = run_cell(&inst(7));
         assert_eq!(a, b, "same instance must reproduce exactly");
         assert!(a.metric("avg_exec") > 0.0);
     }

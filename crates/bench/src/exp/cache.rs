@@ -14,7 +14,6 @@
 //! load as `None` so the affected cell silently re-simulates.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use noc_sim::codec::{fnv1a64, Json, ObjExt};
 use rl_arb::InferenceMode;
@@ -90,10 +89,6 @@ impl CellJob {
     }
 }
 
-/// Makes cache-entry temp names unique per write (same scheme as the
-/// artifact store), so concurrent writers never collide.
-static TMP_ID: AtomicU64 = AtomicU64::new(0);
-
 /// The on-disk, content-addressed cell-result store.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
@@ -152,7 +147,6 @@ impl ResultCache {
     ///
     /// Propagates I/O errors; callers treat the cache as best-effort.
     pub fn store(&self, hash: &str, cell: &CellRecord) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
         let mut normalized = cell.clone();
         normalized.cell_hash = Some(hash.to_string());
         normalized.cache = None;
@@ -160,14 +154,8 @@ impl ResultCache {
             "{{\n  \"cache_schema_version\": {CACHE_SCHEMA_VERSION},\n  \"cell_hash\": \"{hash}\",\n  \"cell\": {}\n}}\n",
             cell_to_json(&normalized)
         );
-        let tmp = self.dir.join(format!(
-            ".{hash}.{}.{}.tmp",
-            std::process::id(),
-            TMP_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, text)?;
         let path = self.path_for(hash);
-        std::fs::rename(&tmp, &path)?;
+        crate::write_atomic(&path, &text)?;
         Ok(path)
     }
 }
@@ -207,23 +195,12 @@ impl CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use super::super::spec::TopoSpec;
+    use super::super::spec::{mesh4x4, TopoSpec};
     use noc_sim::{Pattern, RoutingKind};
 
     fn job(seed: u64) -> CellJob {
         CellJob {
-            scenario: ScenarioSpec::Synthetic {
-                label: "4x4".into(),
-                width: 4,
-                height: 4,
-                pattern: Pattern::UniformRandom,
-                rate: 0.4,
-                topo: TopoSpec::Mesh,
-                routing: RoutingKind::XY,
-                starvation_threshold: None,
-                noc: None,
-                lineup: None,
-            },
+            scenario: mesh4x4("4x4", Pattern::UniformRandom, 0.4, TopoSpec::Mesh, RoutingKind::XY),
             label: "4x4".into(),
             policy: "global_age".into(),
             seed,

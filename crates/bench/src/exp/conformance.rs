@@ -477,19 +477,15 @@ pub fn run(args: &CliArgs) -> CustomOutput {
             }
         }
         let status = if violations == 0 { "PASS" } else { "FAIL" };
-        cells.push(CellRecord {
-            scenario: "synthetic".into(),
-            policy: policy.as_str().into(),
-            seed: args.seed,
-            artifact: None,
-            fault_plan: None,
-            cell_hash: None,
-            cache: None,
-            metrics: vec![
+        cells.push(CellRecord::new(
+            "synthetic".into(),
+            policy.as_str().into(),
+            args.seed,
+            vec![
                 ("runs".into(), runs as f64),
                 ("violations".into(), violations as f64),
             ],
-        });
+        ));
         rows.push(vec![
             policy.as_str().to_string(),
             runs.to_string(),
@@ -505,19 +501,15 @@ pub fn run(args: &CliArgs) -> CustomOutput {
         if let Some(first) = &outcome.first {
             reproducers.push(format!("{label}: {first}"));
         }
-        cells.push(CellRecord {
-            scenario: "apu".into(),
-            policy: label.clone(),
-            seed: args.seed,
-            artifact: None,
-            fault_plan: None,
-            cell_hash: None,
-            cache: None,
-            metrics: vec![
+        cells.push(CellRecord::new(
+            "apu".into(),
+            label.clone(),
+            args.seed,
+            vec![
                 ("runs".into(), 1.0),
                 ("violations".into(), outcome.violations as f64),
             ],
-        });
+        ));
         rows.push(vec![
             label.clone(),
             "1".into(),

@@ -25,13 +25,12 @@
 
 use std::collections::HashMap;
 
-use noc_arbiters::PolicyKind;
 use noc_sim::codec::fnv1a64;
 use noc_sim::{FaultPlan, Topology};
 use rl_arb::{progress, ApuTrainSpec, NnPolicyArbiter, TrainRecipe, TrainSpec};
 
 use super::artifacts::{ArtifactStore, ResolvedArtifact};
-use super::backend::{apu_specs_for, backend_for, CellRecord, SpecInstance};
+use super::backend::{apu_specs_for, run_cell, CellRecord, SpecInstance};
 use super::cache::{CacheStats, CellJob, ResultCache};
 use super::figures::{self, FigureDef, FigureKind};
 use super::queue::{JobId, JobQueue};
@@ -161,7 +160,7 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
     // Assembly phase, in list order.
     let mut records = Vec::with_capacity(defs.len());
     for (def, plan) in defs.iter().zip(planned) {
-        let record = match (&def.kind, plan) {
+        let (record, output) = match (&def.kind, plan) {
             (FigureKind::Matrix { render, csv, .. }, Some((spec, params, seeds, idx))) => {
                 let data = drained.matrix(idx);
                 let rendered = render(&spec, &params, &data);
@@ -192,8 +191,7 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
                     .map_err(|e| format!("writing {} csv: {e}", spec.output))?;
                     progress!("csv written to {}", path.display());
                 }
-                write_record(&record, args, &spec.output)?;
-                record
+                (record, spec.output)
             }
             (FigureKind::Custom(f), None) => {
                 let out = f(args);
@@ -213,11 +211,14 @@ pub fn run_figures_queued(names: &[&str], args: &CliArgs) -> Result<Vec<RunRecor
                     cells: out.cells,
                     table: out.table,
                 };
-                write_record(&record, args, def.output)?;
-                record
+                (record, def.output.into())
             }
             _ => unreachable!("plan kind follows def kind"),
         };
+        let path = record
+            .write(&args.out_dir, &output)
+            .map_err(|e| format!("writing {output} run record: {e}"))?;
+        progress!("run record written to {}", path.display());
         records.push(record);
     }
     let mut stats = drained.stats;
@@ -236,14 +237,6 @@ fn custom_spec_hash(def: &FigureDef) -> String {
         "{:016x}",
         fnv1a64(format!("custom:{}:{}", def.name, def.summary).as_bytes())
     )
-}
-
-fn write_record(record: &RunRecord, args: &CliArgs, basename: &str) -> Result<(), String> {
-    let path = record
-        .write(&args.out_dir, basename)
-        .map_err(|e| format!("writing {basename} run record: {e}"))?;
-    progress!("run record written to {}", path.display());
-    Ok(())
 }
 
 /// The `RunRecord` backend field for a matrix spec.
@@ -265,62 +258,60 @@ fn lineup_for<'a>(spec: &'a ExperimentSpec, scenario: &'a ScenarioSpec) -> &'a L
     }
 }
 
-/// The training recipe behind a spec's shared APU NN slot — the same
-/// workload set, budgets and seed the legacy inline `train_apu_agent`
-/// call used, as pure data.
-fn apu_recipe(benchmark: &str, params: &TierParams, seed: u64) -> TrainRecipe {
-    TrainRecipe::Apu(ApuTrainSpec::tuned(
-        benchmark,
-        params.nn_repeats,
-        params.max_cycles,
-        params.apu_scale,
-        seed,
-    ))
-}
-
-/// The training recipe behind a synthetic scenario's NN slot (the exact
-/// arguments of the legacy inline `train_synthetic_nn` call).
-fn synthetic_recipe(scenario: &ScenarioSpec, params: &TierParams, seed: u64) -> TrainRecipe {
-    let ScenarioSpec::Synthetic { width, height, rate, noc, .. } = scenario else {
-        panic!("synthetic NN recipe on a non-synthetic scenario")
-    };
-    let mut spec = TrainSpec::tuned_synthetic(*width, *rate, seed);
-    spec.height = *height;
-    spec.epochs = params.nn_epochs;
-    spec.cycles_per_epoch = params.nn_epoch_cycles;
-    // The encoder is sized `ports × vnets × features`, so training must
-    // see the same vnet count the evaluation fabric runs with.
-    spec.vnets = noc.map(|n| n.vnets);
-    TrainRecipe::Synthetic(spec)
-}
-
-/// The design-space search's recipe: [`synthetic_recipe`] with the
-/// searched agent hyperparameters overriding the tuned defaults.
-fn synthetic_tuned_recipe(
+/// The training recipe behind a scenario's NN slot (`None` when the spec
+/// names no recipe). The APU recipe trains one network shared by every
+/// scenario (same recipe → same hash → one Train job) with the workload
+/// set, budgets and seed of the legacy inline `train_apu_agent` call; the
+/// synthetic recipes train per scenario with the exact arguments of the
+/// legacy inline `train_synthetic_nn` call, the design-space search's
+/// variant overriding the tuned agent hyperparameters.
+fn nn_recipe(
+    spec: &ExperimentSpec,
     scenario: &ScenarioSpec,
     params: &TierParams,
     seed: u64,
-    gamma_pct: u8,
-    lr_e4: u32,
-    reward: rl_arb::RewardKind,
-) -> TrainRecipe {
-    let TrainRecipe::Synthetic(mut spec) = synthetic_recipe(scenario, params, seed) else {
-        unreachable!("synthetic_recipe returns a synthetic recipe")
+) -> Option<TrainRecipe> {
+    let tuned = match spec.nn.as_ref()? {
+        NnRecipe::ApuBenchmark { benchmark } => {
+            return Some(TrainRecipe::Apu(ApuTrainSpec::tuned(
+                benchmark,
+                params.nn_repeats,
+                params.max_cycles,
+                params.apu_scale,
+                seed,
+            )))
+        }
+        NnRecipe::SyntheticPerScenario => None,
+        NnRecipe::SyntheticTuned { gamma_pct, lr_e4, reward } => {
+            Some((*gamma_pct, *lr_e4, *reward))
+        }
     };
-    spec.agent.gamma = f64::from(gamma_pct) / 100.0;
-    spec.agent.lr = f64::from(lr_e4) / 1e4;
-    spec.agent.reward = reward;
-    TrainRecipe::Synthetic(spec)
+    let ScenarioSpec::Synthetic { width, height, rate, noc, .. } = scenario else {
+        panic!("synthetic NN recipe on a non-synthetic scenario")
+    };
+    let mut train = TrainSpec::tuned_synthetic(*width, *rate, seed);
+    train.height = *height;
+    train.epochs = params.nn_epochs;
+    train.cycles_per_epoch = params.nn_epoch_cycles;
+    // The encoder is sized `ports × vnets × features`, so training must
+    // see the same vnet count the evaluation fabric runs with.
+    train.vnets = noc.map(|n| n.vnets);
+    if let Some((gamma_pct, lr_e4, reward)) = tuned {
+        train.agent.gamma = f64::from(gamma_pct) / 100.0;
+        train.agent.lr = f64::from(lr_e4) / 1e4;
+        train.agent.reward = reward;
+    }
+    Some(TrainRecipe::Synthetic(train))
 }
 
 /// Resolves an NN slot through the artifact store. Training failures are
 /// programming or environment errors (unknown benchmark, unwritable
 /// store), so they abort the run like the legacy inline panics did.
-fn resolve_nn(store: &ArtifactStore, recipe: &TrainRecipe) -> (NnPolicyArbiter, String) {
-    let resolved = store
+fn resolve_nn(store: &ArtifactStore, recipe: &TrainRecipe) -> NnPolicyArbiter {
+    store
         .resolve(recipe)
-        .unwrap_or_else(|e| panic!("resolving NN artifact for {}: {e}", recipe.label()));
-    (resolved.policy, resolved.recipe_hash)
+        .unwrap_or_else(|e| panic!("resolving NN artifact for {}: {e}", recipe.label()))
+        .policy
 }
 
 /// Resolves (training only on a cold store) every NN artifact a figure
@@ -351,22 +342,9 @@ pub fn train_figure(name: &str, args: &CliArgs) -> Result<Vec<ResolvedArtifact>,
         if !lineup_for(&spec, scenario).has_nn_slot() {
             continue;
         }
-        let recipe = match &spec.nn {
-            Some(NnRecipe::SyntheticPerScenario) => {
-                synthetic_recipe(scenario, &params, args.seed)
-            }
-            Some(NnRecipe::ApuBenchmark { benchmark }) => {
-                apu_recipe(benchmark, &params, args.seed)
-            }
-            Some(NnRecipe::SyntheticTuned { gamma_pct, lr_e4, reward }) => {
-                synthetic_tuned_recipe(scenario, &params, args.seed, *gamma_pct, *lr_e4, *reward)
-            }
-            None => {
-                return Err(format!(
-                    "figure '{name}' has an NN slot but no training recipe"
-                ))
-            }
-        };
+        let recipe = nn_recipe(&spec, scenario, &params, args.seed).ok_or_else(|| {
+            format!("figure '{name}' has an NN slot but no training recipe")
+        })?;
         if seen.insert(recipe.hash_hex()) {
             out.push(store.resolve(&recipe)?);
         }
@@ -383,36 +361,6 @@ const TRAIN_PRIORITY: i64 = 100;
 /// Priority of simulation-cell jobs.
 const CELL_PRIORITY: i64 = 0;
 
-/// How one line-up slot's policy is built inside a worker.
-#[derive(Debug, Clone)]
-enum CellPolicy {
-    /// A registry policy.
-    Builtin(PolicyKind),
-    /// The frozen NN policy resolved from the artifact store. Cell jobs
-    /// depend on an [`ExpJob::Train`] job for the same recipe, so by the
-    /// time a worker resolves it the checkpoint is warm and the load is
-    /// bit-identical to the freshly trained network.
-    Nn(Box<TrainRecipe>),
-    /// A self-healing slot: the artifact warm-starts an online-learning
-    /// arbiter (`online`) and/or attaches a learned per-VC buffer
-    /// controller (`vc_ctl`). Shares the frozen slot's Train dependency.
-    SelfHeal {
-        recipe: Box<TrainRecipe>,
-        online: bool,
-        vc_ctl: bool,
-    },
-}
-
-impl CellPolicy {
-    /// The training recipe this slot resolves through, if any.
-    fn recipe(&self) -> Option<&TrainRecipe> {
-        match self {
-            CellPolicy::Builtin(_) => None,
-            CellPolicy::Nn(r) | CellPolicy::SelfHeal { recipe: r, .. } => Some(r),
-        }
-    }
-}
-
 /// One unit of work in the experiment queue.
 #[derive(Debug)]
 enum ExpJob {
@@ -428,7 +376,7 @@ enum ExpJob {
 #[derive(Debug)]
 struct CellRun {
     job: CellJob,
-    build: CellPolicy,
+    slot: PlannedSlot,
     plan: Option<FaultPlan>,
 }
 
@@ -448,57 +396,53 @@ fn execute(store: &ArtifactStore, job: ExpJob) -> ExpOut {
             resolve_nn(store, &recipe);
             ExpOut::Trained
         }
-        ExpJob::Cell(run) => {
-            let policy = match &run.build {
-                CellPolicy::Builtin(kind) => PolicySpec::builtin(kind.display_name(), *kind),
-                CellPolicy::Nn(recipe) => {
-                    // Load through a never-retraining view of the store:
-                    // only the Train dependency honors `--retrain`, so a
-                    // retrain run still trains each recipe exactly once.
-                    let loader = ArtifactStore::new(store.dir(), false);
-                    let (policy, _) = resolve_nn(&loader, recipe);
-                    // `--inference` selects the NN datapath at run time;
-                    // it is not part of the training recipe, so the
-                    // artifact hash (and the trained weights) are
-                    // mode-invariant.
-                    PolicySpec::nn("NN", policy.with_inference(run.job.inference))
-                }
-                CellPolicy::SelfHeal { recipe, online, vc_ctl } => {
-                    let loader = ArtifactStore::new(store.dir(), false);
-                    let (frozen, _) = resolve_nn(&loader, recipe);
-                    let mut spec = if *online {
-                        // Warm-start online learning from the trained
-                        // artifact. The per-job seed re-keys exploration
-                        // and replay sampling inside `PolicySpec::build`.
-                        let cfg = rl_arb::AgentConfig::tuned_online(run.job.seed);
-                        let proto = rl_arb::OnlinePolicy::new(
-                            frozen.network().clone(),
-                            frozen.encoder().clone(),
-                            cfg,
-                        );
-                        PolicySpec::nn_online("NN-online", proto)
-                    } else {
-                        PolicySpec::nn("NN", frozen.with_inference(run.job.inference))
-                    };
-                    if *vc_ctl {
-                        spec = spec.with_vc_ctl(crate::VcCtlConfig::default());
-                    }
-                    spec
-                }
-            };
-            let backend = backend_for(&run.job.scenario);
-            ExpOut::Cell(backend.run(&SpecInstance {
-                scenario: &run.job.scenario,
-                label: &run.job.label,
-                policy_name: &run.job.policy,
-                policy: &policy,
-                seed: run.job.seed,
-                base_seed: run.job.base_seed,
-                params: &run.job.params,
-                artifact: run.job.artifact.as_deref(),
-                faults: run.plan.as_ref(),
-            }))
-        }
+        ExpJob::Cell(run) => ExpOut::Cell(run_cell(&SpecInstance {
+            scenario: &run.job.scenario,
+            label: &run.job.label,
+            policy_name: &run.job.policy,
+            policy: &build_policy(store, &run.slot, &run.job),
+            seed: run.job.seed,
+            base_seed: run.job.base_seed,
+            params: &run.job.params,
+            artifact: run.job.artifact.as_deref(),
+            faults: run.plan.as_ref(),
+        })),
+    }
+}
+
+/// Builds one line-up slot's policy inside a worker. Artifact-backed
+/// slots depend on an [`ExpJob::Train`] job for the same recipe, so by
+/// the time a worker gets here the checkpoint is warm and the load is
+/// bit-identical to the freshly trained network.
+fn build_policy(store: &ArtifactStore, slot: &PlannedSlot, job: &CellJob) -> PolicySpec {
+    let (online, vc_ctl) = match slot.entry {
+        LineupEntry::Policy(kind) => return PolicySpec::builtin(kind.display_name(), kind),
+        LineupEntry::NnSlot => (false, false),
+        LineupEntry::SelfHeal { online, vc_ctl } => (online, vc_ctl),
+    };
+    let recipe = slot.recipe.as_ref().expect("an NN slot carries its recipe");
+    // Load through a never-retraining view of the store: only the Train
+    // dependency honors `--retrain`, so a retrain run still trains each
+    // recipe exactly once.
+    let frozen = resolve_nn(&ArtifactStore::new(store.dir(), false), recipe);
+    let policy = if online {
+        // Warm-start online learning from the trained artifact. The
+        // per-job seed re-keys exploration and replay sampling inside
+        // `PolicySpec::build`.
+        let cfg = rl_arb::AgentConfig::tuned_online(job.seed);
+        let proto =
+            rl_arb::OnlinePolicy::new(frozen.network().clone(), frozen.encoder().clone(), cfg);
+        PolicySpec::nn_online("NN-online", proto)
+    } else {
+        // `--inference` selects the NN datapath at run time; it is not
+        // part of the training recipe, so the artifact hash (and the
+        // trained weights) are mode-invariant.
+        PolicySpec::nn("NN", frozen.with_inference(job.inference))
+    };
+    if vc_ctl {
+        policy.with_vc_ctl()
+    } else {
+        policy
     }
 }
 
@@ -512,12 +456,12 @@ struct PlannedRow {
     slots: Vec<PlannedSlot>,
 }
 
-/// One line-up slot of a planned row.
+/// One line-up slot of a planned row: artifact-backed slots carry their
+/// training recipe and its hash, registry policies neither.
 #[derive(Debug, Clone)]
 struct PlannedSlot {
-    canonical: String,
-    display: String,
-    build: CellPolicy,
+    entry: LineupEntry,
+    recipe: Option<Box<TrainRecipe>>,
     artifact: Option<String>,
 }
 
@@ -529,57 +473,20 @@ fn plan_rows(spec: &ExperimentSpec, params: &TierParams, args: &CliArgs) -> Vec<
     let mut rows = Vec::new();
     for scenario in &spec.scenarios {
         let lineup = lineup_for(spec, scenario);
-        let nn_recipe: Option<TrainRecipe> = if lineup.has_nn_slot() {
-            Some(match &spec.nn {
-                Some(NnRecipe::SyntheticPerScenario) => {
-                    synthetic_recipe(scenario, params, args.seed)
-                }
-                // The APU recipe trains one network shared by every
-                // scenario (same recipe → same hash → one Train job).
-                Some(NnRecipe::ApuBenchmark { benchmark }) => {
-                    apu_recipe(benchmark, params, args.seed)
-                }
-                Some(NnRecipe::SyntheticTuned { gamma_pct, lr_e4, reward }) => {
-                    synthetic_tuned_recipe(
-                        scenario, params, args.seed, *gamma_pct, *lr_e4, *reward,
-                    )
-                }
-                None => panic!("line-up has an NN slot but the spec has no NN recipe"),
-            })
-        } else {
-            None
-        };
-        let nn_hash = nn_recipe.as_ref().map(TrainRecipe::hash_hex);
+        let recipe = lineup.has_nn_slot().then(|| {
+            Box::new(
+                nn_recipe(spec, scenario, params, args.seed)
+                    .expect("line-up has an NN slot but the spec has no NN recipe"),
+            )
+        });
+        let nn_hash = recipe.as_ref().map(|r| r.hash_hex());
         let slots: Vec<PlannedSlot> = lineup
             .entries
             .iter()
-            .map(|e| match e {
-                LineupEntry::Policy(kind) => PlannedSlot {
-                    canonical: kind.as_str().to_string(),
-                    display: kind.display_name().to_string(),
-                    build: CellPolicy::Builtin(*kind),
-                    artifact: None,
-                },
-                LineupEntry::NnSlot => PlannedSlot {
-                    canonical: "nn".into(),
-                    display: "NN".into(),
-                    build: CellPolicy::Nn(Box::new(
-                        nn_recipe.clone().expect("NN slot implies a recipe"),
-                    )),
-                    artifact: nn_hash.clone(),
-                },
-                LineupEntry::SelfHeal { online, vc_ctl } => PlannedSlot {
-                    canonical: e.canonical_name().into(),
-                    display: e.display_name().into(),
-                    build: CellPolicy::SelfHeal {
-                        recipe: Box::new(
-                            nn_recipe.clone().expect("self-heal slot implies a recipe"),
-                        ),
-                        online: *online,
-                        vc_ctl: *vc_ctl,
-                    },
-                    artifact: nn_hash.clone(),
-                },
+            .map(|&entry| PlannedSlot {
+                entry,
+                recipe: recipe.clone().filter(|_| entry.uses_artifact()),
+                artifact: nn_hash.clone().filter(|_| entry.uses_artifact()),
             })
             .collect();
         // With no fault axis this is a single fault-free pass — the
@@ -716,7 +623,7 @@ impl<'a> MatrixBatch<'a> {
                     let job = CellJob {
                         scenario: row.scenario.clone(),
                         label: row.label.clone(),
-                        policy: slot.canonical.clone(),
+                        policy: slot.entry.canonical_name().into(),
                         seed,
                         base_seed: self.args.seed,
                         params: *params,
@@ -743,11 +650,11 @@ impl<'a> MatrixBatch<'a> {
                         }
                     }
                     self.stats.misses += 1;
-                    let dep = slot.build.recipe().map(|recipe| {
+                    let dep = slot.recipe.as_ref().map(|recipe| {
                         let queue = &mut self.queue;
                         *self.train_ids.entry(recipe.hash_hex()).or_insert_with(|| {
                             queue.enqueue(
-                                ExpJob::Train(Box::new(recipe.clone())),
+                                ExpJob::Train(recipe.clone()),
                                 TRAIN_PRIORITY,
                             )
                         })
@@ -755,7 +662,7 @@ impl<'a> MatrixBatch<'a> {
                     let id = self.queue.enqueue(
                         ExpJob::Cell(Box::new(CellRun {
                             job,
-                            build: slot.build.clone(),
+                            slot: slot.clone(),
                             plan: row.plan.clone(),
                         })),
                         CELL_PRIORITY,
@@ -785,7 +692,7 @@ impl<'a> MatrixBatch<'a> {
             // Each distinct simulated cell is stored exactly once, no
             // matter how many figures assemble it.
             for (hash, id) in &cell_ids {
-                if let Some(ExpOut::Cell(cell)) = &results[id.index()] {
+                if let ExpOut::Cell(cell) = &results[id.index()] {
                     if let Err(e) = cache.store(hash, cell) {
                         eprintln!("warning: result cache store failed for {hash}: {e}");
                     }
@@ -800,7 +707,7 @@ impl<'a> MatrixBatch<'a> {
 #[derive(Debug)]
 pub(crate) struct DrainedBatch {
     cached: bool,
-    results: Vec<Option<ExpOut>>,
+    results: Vec<ExpOut>,
     plans: Vec<SpecPlan>,
     pub(crate) stats: CacheStats,
 }
@@ -822,7 +729,7 @@ impl DrainedBatch {
                         cell
                     }
                     Source::Job(id) => {
-                        let Some(ExpOut::Cell(cell)) = &self.results[id.index()] else {
+                        let ExpOut::Cell(cell) = &self.results[id.index()] else {
                             panic!("cell job {} produced no record", id.index());
                         };
                         let mut cell = cell.clone();
@@ -839,8 +746,8 @@ impl DrainedBatch {
                 label: row.label.clone(),
                 fault_intensity: row.intensity,
                 fault_plan_hash: row.plan.as_ref().map(FaultPlan::hash_hex),
-                canonical: row.slots.iter().map(|s| s.canonical.clone()).collect(),
-                display: row.slots.iter().map(|s| s.display.clone()).collect(),
+                canonical: row.slots.iter().map(|s| s.entry.canonical_name().into()).collect(),
+                display: row.slots.iter().map(|s| s.entry.display_name().into()).collect(),
                 seeds: plan.seeds.clone(),
                 cells,
             });

@@ -8,9 +8,9 @@
 //! * [`spec::ExperimentSpec`] — a pure-data description of a run matrix:
 //!   scenarios, a policy line-up by registry name (with a trained-artifact
 //!   slot for the NN policy), per-tier budgets and seed counts.
-//! * [`backend::SimBackend`] — one `run(&SpecInstance) -> CellRecord`
-//!   entry point with implementations wrapping the synthetic-mesh runner
-//!   and the APU engine.
+//! * [`backend::run_cell`] — one `&SpecInstance -> CellRecord` entry
+//!   point that runs a cell on the synthetic-mesh runner or the APU
+//!   engine, as its scenario says.
 //! * [`record::RunRecord`] — the versioned, structured JSON result every
 //!   invocation emits alongside its text table: per-cell values, seeds,
 //!   the normalization reference, `git describe` and a spec hash. This is
@@ -26,8 +26,7 @@
 //!   (`results/cache/<hash>.cell.json`), so a warm cache reproduces any
 //!   previously-run figure with zero simulated cycles.
 //! * [`queue::JobQueue`] — the scheduler: a priority queue with
-//!   dependency edges (train-before-simulate) and transitive
-//!   cancellation, draining in waves through
+//!   dependency edges (train-before-simulate), draining in waves through
 //!   [`crate::sweep::run_parallel`].
 //! * [`search`] — the design-space exploration harness: a
 //!   [`search::SearchSpace`] of tunable axes over the spec, pluggable
@@ -63,7 +62,7 @@ pub mod search;
 pub mod spec;
 
 pub use artifacts::{ArtifactStore, ResolvedArtifact};
-pub use backend::{ApuBackend, CellRecord, SimBackend, SpecInstance, SyntheticBackend};
+pub use backend::{run_cell, CellRecord, SpecInstance};
 pub use cache::{CacheStats, CellJob, ResultCache, CACHE_SCHEMA_VERSION};
 pub use queue::{JobId, JobQueue};
 pub use record::{RunRecord, Table, RUN_RECORD_SCHEMA_VERSION};

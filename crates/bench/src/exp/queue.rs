@@ -1,4 +1,4 @@
-//! A priority job queue with dependency edges and cancellation.
+//! A priority job queue with dependency edges.
 //!
 //! The experiment service schedules its work — NN training and simulation
 //! cells — through this queue rather than ad-hoc loops: jobs carry a
@@ -6,11 +6,8 @@
 //! queue drains in dependency waves through
 //! [`crate::sweep::run_parallel`], so results keep the determinism
 //! contract of the sweep engine (each job's result depends only on its
-//! payload, never on scheduling order).
-//!
-//! Cancellation is transitive: cancelling a job also cancels every job
-//! that (directly or indirectly) depends on it, and cancelled jobs drain
-//! to `None`.
+//! payload, never on scheduling order). Every enqueued job runs exactly
+//! once.
 
 use crate::sweep;
 
@@ -25,19 +22,12 @@ impl JobId {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
-    Pending,
-    Done,
-    Cancelled,
-}
-
 #[derive(Debug)]
 struct Slot<J> {
+    /// `Some` until the job dispatches.
     payload: Option<J>,
     priority: i64,
     deps: Vec<JobId>,
-    state: JobState,
 }
 
 /// A dependency-aware priority queue of jobs of type `J`.
@@ -52,7 +42,7 @@ impl<J: Send> JobQueue<J> {
         JobQueue { slots: Vec::new() }
     }
 
-    /// Number of jobs ever enqueued (including cancelled ones).
+    /// Number of jobs enqueued.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -69,7 +59,6 @@ impl<J: Send> JobQueue<J> {
             payload: Some(job),
             priority,
             deps: Vec::new(),
-            state: JobState::Pending,
         });
         JobId(self.slots.len() - 1)
     }
@@ -85,75 +74,38 @@ impl<J: Send> JobQueue<J> {
         self.slots[job.0].deps.push(dep);
     }
 
-    /// Cancels a job. The job (and, at drain time, everything depending
-    /// on it) resolves to `None` instead of running.
-    pub fn cancel(&mut self, job: JobId) {
-        assert!(job.0 < self.slots.len(), "unknown job id");
-        self.slots[job.0].state = JobState::Cancelled;
-        self.slots[job.0].payload = None;
-    }
-
     /// Runs every job to completion on `threads` workers and returns the
-    /// results indexed by [`JobId`] (`None` for cancelled jobs).
+    /// results indexed by [`JobId`].
     ///
     /// Jobs dispatch in dependency waves: each wave is every pending job
     /// whose dependencies are all done, ordered by (priority descending,
     /// id ascending), and runs through [`sweep::run_parallel`].
-    /// Cancellation propagates before each wave, so a job depending on a
-    /// cancelled job never runs.
     ///
     /// # Panics
     ///
     /// Panics if the dependency graph has a cycle (some jobs can never
     /// become ready).
-    pub fn drain<R: Send>(mut self, threads: usize, f: impl Fn(J) -> R + Sync) -> Vec<Option<R>> {
+    pub fn drain<R: Send>(mut self, threads: usize, f: impl Fn(J) -> R + Sync) -> Vec<R> {
         let mut results: Vec<Option<R>> = (0..self.slots.len()).map(|_| None).collect();
         loop {
-            // Propagate cancellation to dependents until a fixpoint.
-            loop {
-                let mut changed = false;
-                for i in 0..self.slots.len() {
-                    if self.slots[i].state == JobState::Pending
-                        && self.slots[i]
-                            .deps
-                            .iter()
-                            .any(|d| self.slots[d.0].state == JobState::Cancelled)
-                    {
-                        self.slots[i].state = JobState::Cancelled;
-                        self.slots[i].payload = None;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
             let mut ready: Vec<usize> = (0..self.slots.len())
                 .filter(|&i| {
-                    self.slots[i].state == JobState::Pending
-                        && self.slots[i]
-                            .deps
-                            .iter()
-                            .all(|d| self.slots[d.0].state == JobState::Done)
+                    self.slots[i].payload.is_some()
+                        && self.slots[i].deps.iter().all(|d| results[d.0].is_some())
                 })
                 .collect();
             if ready.is_empty() {
-                let stuck = self
-                    .slots
-                    .iter()
-                    .filter(|s| s.state == JobState::Pending)
-                    .count();
+                let stuck = self.slots.iter().filter(|s| s.payload.is_some()).count();
                 assert!(stuck == 0, "dependency cycle: {stuck} job(s) can never become ready");
-                return results;
+                return results.into_iter().map(|r| r.expect("every job ran")).collect();
             }
             ready.sort_by_key(|&i| (-self.slots[i].priority, i));
             let jobs: Vec<(usize, J)> = ready
                 .iter()
                 .map(|&i| (i, self.slots[i].payload.take().expect("pending job has a payload")))
                 .collect();
-            for r in sweep::run_parallel(jobs, threads, |(i, job)| (i, f(job))) {
-                results[r.0] = Some(r.1);
-                self.slots[r.0].state = JobState::Done;
+            for (i, r) in sweep::run_parallel(jobs, threads, |(i, job)| (i, f(job))) {
+                results[i] = Some(r);
             }
         }
     }
@@ -162,7 +114,6 @@ impl<J: Send> JobQueue<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_are_indexed_by_job_id() {
@@ -170,7 +121,7 @@ mod tests {
         let ids: Vec<JobId> = (0..5).map(|i| q.enqueue(i, 0)).collect();
         let out = q.drain(2, |i: i32| i * 10);
         for (k, id) in ids.iter().enumerate() {
-            assert_eq!(out[id.index()], Some(k as i32 * 10));
+            assert_eq!(out[id.index()], k as i32 * 10);
         }
     }
 
@@ -200,28 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_is_transitive_and_spares_the_rest() {
-        let mut q = JobQueue::new();
-        let a = q.enqueue("a", 0);
-        let b = q.enqueue("b", 0);
-        let c = q.enqueue("c", 0);
-        let d = q.enqueue("d", 0);
-        q.add_dependency(b, a); // b ← a
-        q.add_dependency(c, b); // c ← b (transitively ← a)
-        q.cancel(a);
-        let ran = AtomicUsize::new(0);
-        let out = q.drain(2, |name: &str| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            name
-        });
-        assert_eq!(out[a.index()], None);
-        assert_eq!(out[b.index()], None);
-        assert_eq!(out[c.index()], None);
-        assert_eq!(out[d.index()], Some("d"));
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "only the independent job ran");
-    }
-
-    #[test]
     fn diamond_dependencies_drain_in_waves() {
         let mut q = JobQueue::new();
         let root = q.enqueue(0usize, 0);
@@ -233,7 +162,7 @@ mod tests {
         q.add_dependency(join, left);
         q.add_dependency(join, right);
         let out = q.drain(4, |i| i);
-        assert_eq!(out, vec![Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -274,16 +274,12 @@ mod tests {
             git_describe: "abc1234-dirty".into(),
             spec_hash: "00ff00ff00ff00ff".into(),
             normalization: Some("global-age".into()),
-            cells: vec![CellRecord {
-                scenario: "bfs".into(),
-                policy: "round-robin".into(),
-                seed: 42,
-                artifact: None,
-                fault_plan: None,
-                cell_hash: None,
-                cache: None,
-                metrics: vec![("avg_exec".into(), 1234.5), ("tail_exec".into(), 2000.0)],
-            }],
+            cells: vec![CellRecord::new(
+                "bfs".into(),
+                "round-robin".into(),
+                42,
+                vec![("avg_exec".into(), 1234.5), ("tail_exec".into(), 2000.0)],
+            )],
             table: Table {
                 headers: vec!["workload".into(), "Round-robin".into()],
                 rows: vec![vec!["bfs".into(), "1.046".into()]],

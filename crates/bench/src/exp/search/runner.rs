@@ -235,7 +235,7 @@ fn checkpoint(
     record_path: &Path,
     csv_path: &Path,
 ) -> Result<(), String> {
-    write_atomic(record_path, &record.to_json())
+    crate::write_atomic(record_path, &record.to_json())
         .map_err(|e| format!("writing {}: {e}", record_path.display()))?;
     let rows = pareto_rows(record);
     write_csv(csv_path, &PARETO_HEADERS, &rows)
@@ -262,18 +262,6 @@ pub fn pareto_rows(record: &SearchRecord) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// Atomic file write: unique temp file in the target directory, then
-/// rename.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 /// Loads a prior record for resume, if one exists and its header matches

@@ -330,6 +330,29 @@ pub enum ScenarioSpec {
     },
 }
 
+/// A 4x4 synthetic scenario with no starvation-threshold, fabric or
+/// line-up override.
+pub(crate) fn mesh4x4(
+    label: impl Into<String>,
+    pattern: Pattern,
+    rate: f64,
+    topo: TopoSpec,
+    routing: RoutingKind,
+) -> ScenarioSpec {
+    ScenarioSpec::Synthetic {
+        label: label.into(),
+        width: 4,
+        height: 4,
+        pattern,
+        rate,
+        topo,
+        routing,
+        starvation_threshold: None,
+        noc: None,
+        lineup: None,
+    }
+}
+
 impl ScenarioSpec {
     /// The label cells of this scenario carry.
     pub fn label(&self) -> String {

@@ -298,18 +298,6 @@ pub fn apu_run(
     run_apu(specs, arbiter, EngineConfig::default(), seed, max_cycles)
 }
 
-/// [`apu_run`] with an optional deterministic fault plan forwarded into
-/// the APU simulator. `None` is bit-identical to [`apu_run`].
-pub fn apu_run_with_faults(
-    specs: Vec<WorkloadSpec>,
-    arbiter: Box<dyn Arbiter>,
-    seed: u64,
-    max_cycles: u64,
-    faults: Option<&noc_sim::FaultPlan>,
-) -> ApuRunResult {
-    apu_sim::run_apu_with_faults(specs, arbiter, EngineConfig::default(), seed, max_cycles, faults)
-}
-
 /// Renders a plain-text table: header row, then rows of cells.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -346,26 +334,31 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders aligned numeric series (e.g. training curves): one row per
 /// label, one column per series; missing samples render as `-`.
 pub fn render_series(title: &str, labels: &[String], series: &[(String, Vec<f64>)]) -> String {
+    let table = series_table(title, labels, series);
+    let headers: Vec<&str> = table.headers.iter().map(String::as_str).collect();
+    render_table(&headers, &table.rows)
+}
+
+/// The machine-readable form of a [`render_series`] table.
+pub(crate) fn series_table(
+    title: &str,
+    labels: &[String],
+    series: &[(String, Vec<f64>)],
+) -> exp::Table {
     let mut headers = vec![title.to_string()];
     headers.extend(series.iter().map(|(name, _)| name.clone()));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = labels
+    let rows = labels
         .iter()
         .enumerate()
         .map(|(i, label)| {
             let mut row = vec![label.clone()];
             for (_, values) in series {
-                row.push(
-                    values
-                        .get(i)
-                        .map(|v| format!("{v:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                );
+                row.push(values.get(i).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()));
             }
             row
         })
         .collect();
-    render_table(&header_refs, &rows)
+    exp::Table { headers, rows }
 }
 
 /// A named, thread-constructible arbitration policy.
@@ -381,7 +374,7 @@ pub struct PolicySpec {
     /// Display name for tables/CSV headers.
     pub name: String,
     kind: PolicySpecKind,
-    vc_ctl: Option<VcCtlConfig>,
+    vc_ctl: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -394,34 +387,13 @@ enum PolicySpecKind {
     NnOnline(Box<OnlinePolicy>),
 }
 
-/// Configuration of the learned per-VC buffer controller a [`PolicySpec`]
-/// can attach (see [`rl_arb::RlVcController`] for the knob semantics).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VcCtlConfig {
-    /// Cycles between reallocation decisions.
-    pub epoch: u64,
-    /// Credits withheld per VC when the withhold arm wins.
-    pub withhold_flits: u32,
-    /// Bandit exploration rate.
-    pub epsilon: f64,
-    /// Bandit learning rate (EMA step toward the observed reward).
-    pub lr: f64,
-}
-
-impl Default for VcCtlConfig {
-    fn default() -> Self {
-        // Mirrors `RlVcController::paper_default`.
-        VcCtlConfig { epoch: 64, withhold_flits: 2, epsilon: 0.05, lr: 0.2 }
-    }
-}
-
 impl PolicySpec {
     /// A spec for one of the registry policies.
     pub fn builtin(name: impl Into<String>, kind: PolicyKind) -> Self {
         PolicySpec {
             name: name.into(),
             kind: PolicySpecKind::Builtin(kind),
-            vc_ctl: None,
+            vc_ctl: false,
         }
     }
 
@@ -430,7 +402,7 @@ impl PolicySpec {
         PolicySpec {
             name: name.into(),
             kind: PolicySpecKind::Nn(Box::new(nn)),
-            vc_ctl: None,
+            vc_ctl: false,
         }
     }
 
@@ -441,13 +413,14 @@ impl PolicySpec {
         PolicySpec {
             name: name.into(),
             kind: PolicySpecKind::NnOnline(Box::new(proto)),
-            vc_ctl: None,
+            vc_ctl: false,
         }
     }
 
-    /// Attaches a learned per-VC buffer controller to this policy's runs.
-    pub fn with_vc_ctl(mut self, cfg: VcCtlConfig) -> Self {
-        self.vc_ctl = Some(cfg);
+    /// Attaches a learned per-VC buffer controller (the paper-default
+    /// [`RlVcController`]) to this policy's runs.
+    pub fn with_vc_ctl(mut self) -> Self {
+        self.vc_ctl = true;
         self
     }
 
@@ -471,14 +444,8 @@ impl PolicySpec {
     /// The controller seed is decorrelated from the traffic/arbiter seed
     /// so the two learned decision points draw independent streams.
     pub fn build_controller(&self, seed: u64) -> Option<Box<dyn BufferController>> {
-        self.vc_ctl.map(|c| {
-            Box::new(RlVcController::new(
-                c.epoch,
-                c.withhold_flits,
-                c.epsilon,
-                c.lr,
-                seed ^ 0xBC_0571,
-            )) as Box<dyn BufferController>
+        self.vc_ctl.then(|| {
+            Box::new(RlVcController::paper_default(seed ^ 0xBC_0571)) as Box<dyn BufferController>
         })
     }
 }
@@ -777,6 +744,25 @@ mod tests {
         .is_err());
     }
 
+}
+
+/// Writes `text` to `path` through a uniquely named temp file in the same
+/// directory and a rename, so concurrent writers (parallel test threads,
+/// parallel figure runs) and killed runs never leave a half-written file.
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub(crate) fn write_atomic(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static TMP_ID: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
+    std::fs::create_dir_all(dir)?;
+    let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+    let id = TMP_ID.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}.{id}.tmp", std::process::id()));
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Writes a CSV file next to the printed table: header row plus data rows.

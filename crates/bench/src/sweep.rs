@@ -25,6 +25,10 @@ pub fn default_threads() -> usize {
 /// Runs `f` over every job on a pool of `threads` scoped workers and
 /// returns the results **in input order**.
 ///
+/// The pool never grows past [`default_threads`]: asking for more workers
+/// than the host has only adds context switches, and since results are
+/// order-preserving the clamp cannot change them.
+///
 /// With `threads == 1` (or fewer than two jobs) no threads are spawned and
 /// the jobs run serially on the caller's thread, reproducing the historical
 /// serial path bit-for-bit. Otherwise workers pull jobs from a shared
@@ -42,6 +46,7 @@ where
     F: Fn(J) -> R + Sync,
 {
     assert!(threads > 0, "need at least one worker thread");
+    let threads = threads.min(default_threads());
     if threads == 1 || jobs.len() < 2 {
         return jobs.into_iter().map(f).collect();
     }
@@ -118,6 +123,17 @@ mod tests {
         let table: Vec<u64> = (0..16).map(|i| i * 10).collect();
         let out = run_parallel((0..16usize).collect(), 4, |i| table[i] + 1);
         assert_eq!(out[15], 151);
+    }
+
+    #[test]
+    fn workers_never_outnumber_the_host() {
+        let ids = Mutex::new(std::collections::HashSet::new());
+        run_parallel((0..256).collect(), 64, |_: u32| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        let workers = ids.into_inner().unwrap().len();
+        assert!(workers <= default_threads(), "{workers} workers on a {}-way host", default_threads());
     }
 
     #[test]
