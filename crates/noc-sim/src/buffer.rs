@@ -176,72 +176,8 @@ impl VcBuffer {
     pub fn iter(&self) -> impl Iterator<Item = &BufferedPacket> {
         self.queue.iter()
     }
-
-    /// A read-only snapshot of this buffer's books (see `VcView`).
-    pub fn as_view(&self) -> VcView<'_> {
-        VcView {
-            used_flits: self.used_flits,
-            reserved_flits: self.reserved_flits,
-            capacity_flits: self.capacity_flits,
-            head: None,
-            tail: &self.queue,
-        }
-    }
 }
 
-/// A read-only view of one virtual channel's books, independent of the
-/// storage layout. The invariant checker consumes views so it can
-/// cross-check both the standalone [`VcBuffer`] and the simulator's
-/// structure-of-arrays store ([`VcBufArray`]) through one interface.
-#[derive(Debug, Clone, Copy)]
-pub struct VcView<'a> {
-    used_flits: u32,
-    reserved_flits: u32,
-    capacity_flits: u32,
-    /// Inline head slot ([`VcBufArray`] keeps the head out of the FIFO);
-    /// `None` for layouts that store every packet in `tail`.
-    head: Option<&'a BufferedPacket>,
-    tail: &'a VecDeque<BufferedPacket>,
-}
-
-impl<'a> VcView<'a> {
-    /// Flits currently stored.
-    pub fn used_flits(&self) -> u32 {
-        self.used_flits
-    }
-
-    /// Flits promised to in-flight packets that have not yet arrived.
-    pub fn reserved_flits(&self) -> u32 {
-        self.reserved_flits
-    }
-
-    /// Capacity in flits.
-    pub fn capacity_flits(&self) -> u32 {
-        self.capacity_flits
-    }
-
-    /// Total flits of the packets currently queued, recomputed from the
-    /// queue itself (cross-checked against the incremental count).
-    pub fn queued_flits(&self) -> u32 {
-        self.iter().map(|bp| bp.packet.len_flits).sum()
-    }
-
-    /// Iterates over buffered packets, head first.
-    pub fn iter(&self) -> impl Iterator<Item = &'a BufferedPacket> {
-        self.head.into_iter().chain(self.tail.iter())
-    }
-}
-
-/// Structure-of-arrays store for every input VC buffer in a mesh.
-///
-/// The per-cycle hot loop touches credit counters (used/reserved/shrink)
-/// far more often than packet payloads, so those counters live in dense
-/// parallel arrays indexed by the flat buffer id
-/// `(router * ports + port) * vnets + vnet`, while the packet FIFOs sit in
-/// a parallel `Vec<VecDeque>`. Per-index semantics are identical to
-/// [`VcBuffer`] — same credit rules, same panic messages — and the
-/// equivalence is pinned by tests below; `VcBuffer` remains the
-/// single-buffer unit used standalone.
 /// A compact mirror of the head packet of one VC: exactly the fields the
 /// arbitration request scan reads each cycle, plus the cached route, packed
 /// so the whole scan stays within one cache line per VC. Entries are only
@@ -279,6 +215,16 @@ pub(crate) struct HotAux {
     pub(crate) id: u64,
 }
 
+/// Structure-of-arrays store for every input VC buffer in a mesh.
+///
+/// The per-cycle hot loop touches credit counters (used/reserved/shrink)
+/// far more often than packet payloads, so those counters live in dense
+/// parallel arrays indexed by the flat buffer id
+/// `(router * ports + port) * vnets + vnet`, while the packet FIFOs sit in
+/// a parallel `Vec<VecDeque>`. Per-index semantics are identical to
+/// [`VcBuffer`] — same credit rules, same panic messages — and the
+/// equivalence is pinned by tests below; `VcBuffer` remains the
+/// single-buffer unit used standalone.
 #[derive(Debug, Clone)]
 pub struct VcBufArray {
     /// Head packet of each buffer, stored inline so the arbitration scan
@@ -546,17 +492,6 @@ impl VcBufArray {
         }
         self.tails[bi] = packets;
     }
-
-    /// A read-only snapshot of buffer `bi`'s books (see [`VcView`]).
-    pub fn view(&self, bi: usize) -> VcView<'_> {
-        VcView {
-            used_flits: self.books[bi].used,
-            reserved_flits: self.books[bi].reserved,
-            capacity_flits: self.capacity_flits,
-            head: self.heads[bi].as_ref(),
-            tail: &self.tails[bi],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -714,8 +649,11 @@ mod tests {
                 _ => unreachable!(),
             }
             assert_eq!(single.free_flits(), soa.free_flits(bi), "after {op}");
-            assert_eq!(single.used_flits(), soa.view(bi).used_flits());
-            assert_eq!(single.reserved_flits(), soa.view(bi).reserved_flits());
+            let (used, reserved, _) = soa.book_state(bi);
+            assert_eq!(
+                (single.used_flits(), single.reserved_flits()),
+                (used, reserved)
+            );
             assert_eq!(single.is_empty(), soa.is_empty(bi));
             let a: Vec<_> = single.iter().map(|bp| bp.inter_arrival).collect();
             let b: Vec<_> = soa.iter(bi).map(|bp| bp.inter_arrival).collect();
@@ -742,18 +680,5 @@ mod tests {
     fn soa_over_reservation_panics() {
         let mut soa = VcBufArray::new(2, 4);
         soa.reserve(1, 5);
-    }
-
-    #[test]
-    fn view_agrees_between_layouts() {
-        let mut single = VcBuffer::new(8);
-        single.push_injection(pkt(3), 4);
-        let mut soa = VcBufArray::new(1, 8);
-        soa.push_injection(0, pkt(3), 4);
-        let (a, b) = (single.as_view(), soa.view(0));
-        assert_eq!(a.used_flits(), b.used_flits());
-        assert_eq!(a.reserved_flits(), b.reserved_flits());
-        assert_eq!(a.capacity_flits(), b.capacity_flits());
-        assert_eq!(a.queued_flits(), b.queued_flits());
     }
 }

@@ -41,7 +41,7 @@
 
 use std::collections::HashMap;
 
-use crate::buffer::VcView;
+use crate::buffer::VcBufArray;
 use crate::packet::Packet;
 use crate::stats::SimStats;
 
@@ -286,6 +286,7 @@ impl InvariantChecker {
         (router * self.ports + in_port) * self.vnets + vnet
     }
 
+    #[cold]
     fn record(&mut self, cycle: u64, location: String, kind: ViolationKind) {
         self.total_violations += 1;
         if self.violations.len() < MAX_RECORDED {
@@ -442,20 +443,18 @@ impl InvariantChecker {
         self.fault_reconciled += len as u64;
     }
 
-    /// Per-buffer sweep: occupancy bounds, incremental-count agreement,
-    /// credit-reservation agreement, and FIFO age monotonicity.
-    pub(crate) fn check_buffer(
-        &mut self,
-        cycle: u64,
-        router: usize,
-        in_port: usize,
-        vnet: usize,
-        buf: VcView<'_>,
-    ) {
-        let loc = || format!("router {router} in_port {in_port} vnet {vnet}");
-        let used = buf.used_flits();
-        let reserved = buf.reserved_flits();
-        let capacity = buf.capacity_flits();
+    /// Per-buffer sweep of flat buffer `bi` (the simulator's
+    /// `(router * ports + in_port) * vnets + vnet` layout, which this
+    /// checker's slots share): occupancy bounds, incremental-count
+    /// agreement, credit-reservation agreement, and FIFO age monotonicity.
+    pub(crate) fn check_buffer(&mut self, cycle: u64, bufs: &VcBufArray, bi: usize) {
+        let (ports, vnets) = (self.ports, self.vnets);
+        let loc = || {
+            let (router, in_port, vnet) = (bi / (ports * vnets), bi / vnets % ports, bi % vnets);
+            format!("router {router} in_port {in_port} vnet {vnet}")
+        };
+        let (used, reserved, _) = bufs.book_state(bi);
+        let capacity = bufs.capacity_flits();
         if used + reserved > capacity {
             self.record(
                 cycle,
@@ -467,11 +466,11 @@ impl InvariantChecker {
                 },
             );
         }
-        let queued = buf.queued_flits();
+        let queued: u32 = bufs.iter(bi).map(|bp| bp.packet.len_flits).sum();
         if used != queued {
             self.record(cycle, loc(), ViolationKind::OccupancyMismatch { used, queued });
         }
-        let expected = self.expected_reserved[self.slot(router, in_port, vnet)];
+        let expected = self.expected_reserved[bi];
         if expected != reserved as i64 {
             self.record(
                 cycle,
@@ -483,7 +482,7 @@ impl InvariantChecker {
             );
         }
         let mut prev: Option<u64> = None;
-        for bp in buf.iter() {
+        for bp in bufs.iter(bi) {
             if bp.arrival_cycle > cycle {
                 self.record(
                     cycle,
@@ -618,17 +617,16 @@ mod tests {
     fn credit_books_balance_through_reserve_arrival() {
         let mut ck = InvariantChecker::new(2, 3, 2, false);
         ck.on_reserve(1, 2, 1, 5);
-        let buf = {
-            let mut b = crate::buffer::VcBuffer::new(8);
-            b.reserve(5);
-            b
-        };
-        ck.check_buffer(0, 1, 2, 1, buf.as_view());
+        let bi = (3 + 2) * 2 + 1; // router 1, in_port 2, vnet 1
+        let mut bufs = VcBufArray::new(12, 8);
+        bufs.reserve(bi, 5);
+        ck.check_buffer(0, &bufs, bi);
         assert_eq!(ck.total_violations(), 0);
         // The same reservation checked against an *empty* buffer is a leak.
-        let empty = crate::buffer::VcBuffer::new(8);
-        ck.check_buffer(1, 1, 2, 1, empty.as_view());
+        let empty = VcBufArray::new(12, 8);
+        ck.check_buffer(1, &empty, bi);
         assert_eq!(ck.total_violations(), 1);
+        assert_eq!(ck.violations()[0].location, "router 1 in_port 2 vnet 1");
         assert!(matches!(
             ck.violations()[0].kind,
             ViolationKind::CreditMismatch {

@@ -57,7 +57,6 @@ mod checkpoint;
 mod config;
 mod error;
 mod faults;
-mod histogram;
 mod invariants;
 mod packet;
 mod report;
@@ -82,14 +81,13 @@ pub use error::ConfigError;
 pub use faults::{
     FaultEvent, FaultKind, FaultPlan, RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, WATCHDOG_PERIOD,
 };
-pub use histogram::LatencyHistogram;
 pub use invariants::{InvariantChecker, InvariantViolation, SimError, ViolationKind};
 pub use packet::{BufferedPacket, InjectionRequest, Packet};
 pub use report::format_report;
 pub use rng::SplitMix64;
 pub use routing::{
     route_deterministic, route_path, route_ring, route_table, route_torus, route_west_first,
-    route_xy, route_xy_port, xy_path, RouteStep,
+    route_xy, RouteStep,
 };
 pub use checkpoint::{SimCheckpoint, CHECKPOINT_VERSION};
 pub use sim::{simulated_cycles, Simulator};

@@ -60,34 +60,6 @@ pub fn route_xy(topo: &Topology, here: RouterId, dst_router: RouterId, dst_slot:
     }
 }
 
-/// Returns the output *port index* (within the shared port layout) for the
-/// same decision as [`route_xy`].
-pub fn route_xy_port(topo: &Topology, here: RouterId, dst_router: RouterId, dst_slot: u8) -> usize {
-    match route_xy(topo, here, dst_router, dst_slot) {
-        RouteStep::Forward(dir) => topo.port_index(dir),
-        RouteStep::Eject(slot) => topo.port_index(PortDir::Local(slot)),
-    }
-}
-
-/// Walks the full X-Y path between two routers, returning every router
-/// visited including both endpoints. Useful for tests and analysis.
-pub fn xy_path(topo: &Topology, src: RouterId, dst: RouterId) -> Vec<RouterId> {
-    let mut path = vec![src];
-    let mut here = src;
-    while here != dst {
-        match route_xy(topo, here, dst, 0) {
-            RouteStep::Forward(dir) => {
-                here = topo
-                    .neighbor(here, dir)
-                    .expect("x-y routing stepped off the mesh");
-                path.push(here);
-            }
-            RouteStep::Eject(_) => unreachable!("eject before reaching destination"),
-        }
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +69,7 @@ mod tests {
     fn path_length_is_manhattan_distance() {
         let t = Topology::uniform_mesh(8, 8).unwrap();
         for (a, b) in [(0usize, 63usize), (7, 56), (10, 10), (3, 32)] {
-            let p = xy_path(&t, RouterId(a), RouterId(b));
+            let p = route_path(RoutingKind::XY, &t, RouterId(a), RouterId(b));
             let dist = t.coord(RouterId(a)).manhattan(t.coord(RouterId(b)));
             assert_eq!(p.len() as u32, dist + 1);
         }
@@ -108,7 +80,7 @@ mod tests {
         let t = Topology::uniform_mesh(4, 4).unwrap();
         let src = t.router_at(Coord::new(0, 0));
         let dst = t.router_at(Coord::new(2, 3));
-        let path = xy_path(&t, src, dst);
+        let path = route_path(RoutingKind::XY, &t, src, dst);
         // First two hops go east, then three go south.
         let coords: Vec<_> = path.iter().map(|&r| t.coord(r)).collect();
         assert_eq!(coords[0], Coord::new(0, 0));
@@ -122,10 +94,6 @@ mod tests {
     fn eject_uses_requested_slot() {
         let t = Topology::mesh(2, 2, 2).unwrap();
         assert_eq!(route_xy(&t, RouterId(3), RouterId(3), 1), RouteStep::Eject(1));
-        assert_eq!(
-            route_xy_port(&t, RouterId(3), RouterId(3), 1),
-            t.port_index(PortDir::Local(1))
-        );
     }
 }
 
@@ -265,7 +233,7 @@ pub fn route_deterministic(
 
 /// Walks the full path a deterministic routing kind takes between two
 /// routers, returning every router visited including both endpoints.
-/// Useful for tests and analysis (the generalization of [`xy_path`]).
+/// Useful for tests and analysis.
 ///
 /// # Panics
 ///

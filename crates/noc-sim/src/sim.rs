@@ -415,22 +415,6 @@ impl<T: TrafficSource> Simulator<T> {
         self.arbiter.as_ref()
     }
 
-    /// Mutable access to the installed policy (e.g. to extract a trained
-    /// agent's weights).
-    pub fn arbiter_mut(&mut self) -> &mut dyn Arbiter {
-        self.arbiter.as_mut()
-    }
-
-    /// Consumes the simulator and returns the policy (e.g. a trained agent).
-    pub fn into_arbiter(self) -> Box<dyn Arbiter> {
-        self.arbiter
-    }
-
-    /// The most recent network-global snapshot.
-    pub fn net_snapshot(&self) -> &NetSnapshot {
-        &self.net
-    }
-
     /// Clears statistics (e.g. after a warm-up phase). Does not disturb
     /// in-flight packets or buffers. Recovery-episode tracking is
     /// re-scoped to the new window: an episode *in flight* at the reset
@@ -478,11 +462,6 @@ impl<T: TrafficSource> Simulator<T> {
         };
     }
 
-    /// True when a non-empty fault plan is installed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Enables the opt-in runtime invariant checker (see
     /// [`crate::InvariantChecker`]). The checker keeps redundant books
     /// alongside the simulator's own accounting and records every
@@ -514,11 +493,6 @@ impl<T: TrafficSource> Simulator<T> {
             self.cfg.num_vnets,
             check_order,
         )));
-    }
-
-    /// True when the invariant checker is enabled.
-    pub fn invariants_enabled(&self) -> bool {
-        self.checker.is_some()
     }
 
     /// Invariant violations recorded so far (empty when the checker is
@@ -593,26 +567,6 @@ impl<T: TrafficSource> Simulator<T> {
             proposal: Vec::new(),
             epochs_run: 0,
         }));
-    }
-
-    /// True when a buffer controller is installed.
-    pub fn buffer_controller_enabled(&self) -> bool {
-        self.vc_ctl.is_some()
-    }
-
-    /// Recovery-detector internals `(latency EMA, episode baseline,
-    /// episode pending)`, latency values in Q48.16 cycles. Diagnostic
-    /// hook for tests and threshold tuning; not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_recovery_state(&self) -> (u64, u64, bool) {
-        (self.lat_ema_q16, self.recov_baseline_q16, self.recov_pending)
-    }
-
-    /// Control epochs the installed buffer controller has executed (0
-    /// when none is installed). Cache-assertion hook: a warm-cache run
-    /// must show zero epochs because nothing was simulated.
-    pub fn buffer_control_epochs(&self) -> u64 {
-        self.vc_ctl.as_ref().map_or(0, |c| c.epochs_run)
     }
 
     /// Starts recording every grant; used by tests and analysis tools.
@@ -974,13 +928,8 @@ impl<T: TrafficSource> Simulator<T> {
     /// with reads of router buffers (same pattern as `fault_phase`).
     fn invariant_phase(&mut self, cycle: u64) {
         let Some(mut ck) = self.checker.take() else { return };
-        for r in 0..self.coords.len() {
-            for p in 0..self.ports {
-                for v in 0..self.vnets {
-                    let bi = (r * self.ports + p) * self.vnets + v;
-                    ck.check_buffer(cycle, r, p, v, self.bufs.view(bi));
-                }
-            }
+        for bi in 0..self.bufs.num_buffers() {
+            ck.check_buffer(cycle, &self.bufs, bi);
         }
         let queued = self.queued_at_sources() as u64;
         ck.check_global(cycle, &self.stats, self.inflight_count, queued);
@@ -1149,9 +1098,8 @@ impl<T: TrafficSource> Simulator<T> {
         match self.cfg.routing {
             RoutingKind::XY => {
                 // Inlined X-Y over the precomputed coordinate table — the
-                // same decision (and port numbering) as
-                // [`crate::routing::route_xy_port`] without per-call
-                // div/mod.
+                // same decision as [`crate::routing::route_xy`], mapped to
+                // the shared port numbering, without per-call div/mod.
                 let c = self.coords[router.index()];
                 let d = self.coords[dst_router.index()];
                 if c.x < d.x {
@@ -1912,7 +1860,7 @@ mod tests {
         let mut plain = mk();
         let mut with_plan = mk();
         with_plan.set_fault_plan(&FaultPlan::empty(7));
-        assert!(!with_plan.faults_enabled());
+        assert!(with_plan.faults.is_none());
         plain.run(2_000);
         with_plan.run(2_000);
         assert_eq!(
@@ -1931,7 +1879,7 @@ mod tests {
             onset: 0,
             duration: 50,
         }]));
-        assert!(sim.faults_enabled());
+        assert!(sim.faults.is_some());
         sim.run(40);
         assert_eq!(sim.stats().delivered, 0, "delivered through a down link");
         assert!(sim.run_until_done(200));
@@ -2037,13 +1985,23 @@ mod tests {
     }
 
     #[test]
+    fn restore_onto_a_stepped_simulator_is_an_err() {
+        let mut sim = uniform_sim(3, 0.1);
+        sim.run(10);
+        let ck = sim.checkpoint().unwrap();
+        let err = sim.restore_checkpoint(&ck).unwrap_err();
+        assert!(err.contains("run to cycle 10"), "{err}");
+        assert_eq!(sim.cycle(), 10, "a refused restore leaves the simulator alone");
+    }
+
+    #[test]
     fn checked_run_is_clean_and_bit_identical_to_unchecked() {
         let mut plain = uniform_sim(33, 0.15);
         plain.run(2_000);
 
         let mut checked = uniform_sim(33, 0.15);
         checked.enable_invariant_checker();
-        assert!(checked.invariants_enabled());
+        assert!(checked.checker.is_some());
         checked.run(2_000);
 
         checked.check_invariants().expect("clean run must have no violations");

@@ -603,11 +603,6 @@ impl Topology {
         RouterId(c.y as usize * self.width as usize + c.x as usize)
     }
 
-    /// The port layout shared by every router.
-    pub fn port_order(&self) -> Vec<PortDir> {
-        PortDir::port_order(self.num_locals)
-    }
-
     /// Port index of a direction within the shared layout.
     pub fn port_index(&self, dir: PortDir) -> usize {
         match dir {
@@ -667,11 +662,6 @@ impl Topology {
     /// path). On a mesh this equals the Manhattan distance.
     pub fn hop_distance(&self, a: RouterId, b: RouterId) -> u32 {
         self.dist[a.index() * self.num_routers() + b.index()] as u32
-    }
-
-    /// Hop distance between the routers of two nodes, over the graph.
-    pub fn node_distance(&self, a: NodeId, b: NodeId) -> u32 {
-        self.hop_distance(self.node(a).router, self.node(b).router)
     }
 
     /// The graph diameter: the largest router-to-router hop distance.

@@ -110,16 +110,6 @@ pub enum PortDir {
 }
 
 impl PortDir {
-    /// Port order used throughout the crate: locals first, then N, S, W, E.
-    pub fn port_order(num_locals: usize) -> Vec<PortDir> {
-        let mut v = Vec::with_capacity(num_locals + 4);
-        for k in 0..num_locals {
-            v.push(PortDir::Local(k as u8));
-        }
-        v.extend_from_slice(&[PortDir::North, PortDir::South, PortDir::West, PortDir::East]);
-        v
-    }
-
     /// The opposite mesh direction; local ports have no opposite.
     ///
     /// ```
@@ -240,22 +230,6 @@ mod tests {
         let b = Coord::new(4, 2);
         assert_eq!(a.manhattan(b), b.manhattan(a));
         assert_eq!(a.manhattan(a), 0);
-    }
-
-    #[test]
-    fn port_order_layout() {
-        let order = PortDir::port_order(2);
-        assert_eq!(
-            order,
-            vec![
-                PortDir::Local(0),
-                PortDir::Local(1),
-                PortDir::North,
-                PortDir::South,
-                PortDir::West,
-                PortDir::East
-            ]
-        );
     }
 
     #[test]

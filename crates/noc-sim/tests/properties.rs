@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use noc_sim::arbiters::FifoArbiter;
 use noc_sim::{
-    route_xy, xy_path, Coord, DestType, InjectionRequest, MsgType, NodeId, Packet, RouteStep,
-    SimConfig, Simulator, SplitMix64, Topology, TraceTraffic, TrafficSource, VcBuffer,
+    route_path, route_xy, Coord, DestType, InjectionRequest, MsgType, NodeId, Packet, RouteStep,
+    RoutingKind, SimConfig, Simulator, SplitMix64, Topology, TraceTraffic, TrafficSource, VcBuffer,
 };
 
 proptest! {
@@ -15,7 +15,7 @@ proptest! {
         let topo = Topology::uniform_mesh(w, h).unwrap();
         let n = topo.num_routers();
         let (src, dst) = (noc_sim::RouterId(a % n), noc_sim::RouterId(b % n));
-        let path = xy_path(&topo, src, dst);
+        let path = route_path(RoutingKind::XY, &topo, src, dst);
         let dist = topo.coord(src).manhattan(topo.coord(dst));
         prop_assert_eq!(path.len() as u32, dist + 1);
         // Consecutive routers in the path are mesh neighbors.
