@@ -2,6 +2,7 @@
 //! ordering must hold end-to-end (noc-sim + noc-arbiters).
 
 use ml_noc::noc_arbiters::{make_arbiter, PolicyKind};
+use ml_noc::noc_sim::codec::fnv1a64;
 use ml_noc::noc_sim::{Arbiter, Pattern, SimConfig, SimStats, Simulator, SyntheticTraffic, Topology};
 
 fn run(width: u16, rate: f64, arbiter: Box<dyn Arbiter>, seed: u64) -> SimStats {
@@ -94,4 +95,30 @@ fn deterministic_across_runs() {
     assert_eq!(a.delivered, b.delivered);
     assert_eq!(a.total_latency, b.total_latency);
     assert_eq!(a.latencies, b.latencies);
+}
+
+#[test]
+fn probdist_and_islip_runs_are_pinned() {
+    // A fixed 4x4 run under ProbDist (exponential distance weighting) and
+    // iSLIP (two iterations) as `make_arbiter` builds them. A change to
+    // either policy shows up in these counters and in the hash of the whole
+    // stats record.
+    let pinned = |kind: PolicyKind| {
+        let topo = Topology::uniform_mesh(4, 4).unwrap();
+        let cfg = SimConfig::synthetic(4, 4);
+        let traffic = SyntheticTraffic::new(&topo, Pattern::UniformRandom, 0.30, cfg.num_vnets, 17);
+        let mut sim = Simulator::new(topo, cfg, make_arbiter(kind, 17), traffic).unwrap();
+        sim.run(3_000);
+        let s = sim.stats();
+        let hash = fnv1a64(format!("{s:?}").as_bytes());
+        (s.delivered, s.total_latency, s.grants, hash)
+    };
+    assert_eq!(
+        pinned(PolicyKind::ProbDist),
+        (14_363, 287_369, 52_189, 0xd1c3_12ec_90e1_5f47)
+    );
+    assert_eq!(
+        pinned(PolicyKind::Islip),
+        (14_361, 285_704, 52_185, 0x4832_b320_3257_9768)
+    );
 }
