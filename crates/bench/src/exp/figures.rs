@@ -1216,7 +1216,7 @@ fn fig13(args: &CliArgs) -> CustomOutput {
     for f in &result.selected {
         text.push_str(&format!("  {}\n", f.label()));
     }
-    text.push_str(&format!("settled latency: {:.1} cycles\n", result.latency));
+    text.push_str(&format!("settled latency: {:.1} cycles\n", result.value));
     text.push_str(&format!("evaluations performed: {}\n", result.history.len()));
     CustomOutput {
         text,

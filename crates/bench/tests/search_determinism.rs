@@ -167,7 +167,7 @@ fn hill_climb_reproduces_paper_feature_selection() {
         vec![Feature::LocalAge, Feature::HopCount],
         "greedy climb must adopt local age first, then hop count (§6.5)"
     );
-    assert!(result.latency.is_finite());
+    assert!(result.value.is_finite());
     // Round 1 explores all four features alone; at least one more round
     // ran to adopt the second feature.
     assert!(result.history.len() > 4);

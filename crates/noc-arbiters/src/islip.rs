@@ -8,47 +8,28 @@ use noc_sim::{Arbiter, OutputCtx, RouterCtx, RouterId};
 ///
 /// iSLIP computes a conflict-free input-to-output matching per router per
 /// cycle using per-output *grant* pointers and per-input *accept* pointers,
-/// iterating request → grant → accept a fixed number of times to fill in
-/// unmatched pairs. Pointers only advance on first-iteration accepts, which
-/// is what gives iSLIP its "desynchronized pointers" fairness property.
+/// iterating request → grant → accept twice (the customary count) to fill
+/// in unmatched pairs. Pointers only advance on first-iteration accepts,
+/// which is what gives iSLIP its "desynchronized pointers" fairness property.
 ///
 /// When a router has several VCs requesting the same output from the same
 /// input port, the oldest local arrival represents that port in the
 /// matching.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IslipArbiter {
-    iterations: usize,
     grant_ptrs: HashMap<(RouterId, usize), usize>,
     accept_ptrs: HashMap<(RouterId, usize), usize>,
     /// `(router, out_port)` → `(cycle, in_port, vnet)` planned this cycle.
     plan: HashMap<(RouterId, usize), (u64, usize, usize)>,
 }
 
+/// Request → grant → accept rounds per matching.
+const ITERATIONS: usize = 2;
+
 impl IslipArbiter {
-    /// Creates an iSLIP allocator with the customary two iterations.
+    /// Creates an iSLIP allocator with every pointer at port 0.
     pub fn new() -> Self {
-        IslipArbiter::with_iterations(2)
-    }
-
-    /// Creates an iSLIP allocator with an explicit iteration count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
-    pub fn with_iterations(iterations: usize) -> Self {
-        assert!(iterations > 0, "iSLIP needs at least one iteration");
-        IslipArbiter {
-            iterations,
-            grant_ptrs: HashMap::new(),
-            accept_ptrs: HashMap::new(),
-            plan: HashMap::new(),
-        }
-    }
-}
-
-impl Default for IslipArbiter {
-    fn default() -> Self {
-        IslipArbiter::new()
+        IslipArbiter::default()
     }
 }
 
@@ -80,7 +61,7 @@ impl Arbiter for IslipArbiter {
         let mut matched_out: HashMap<usize, usize> = HashMap::new(); // out -> in
         let mut matched_in: HashMap<usize, usize> = HashMap::new(); // in -> out
 
-        for iter in 0..self.iterations {
+        for iter in 0..ITERATIONS {
             // Grant phase: each unmatched output grants one unmatched input.
             let mut grants: HashMap<usize, Vec<usize>> = HashMap::new(); // in -> outs granting it
             for &out in &out_ports {
@@ -308,11 +289,5 @@ mod tests {
         }
         // The grant pointer advances past each winner, alternating service.
         assert_eq!(winners, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn zero_iterations_rejected() {
-        IslipArbiter::with_iterations(0);
     }
 }

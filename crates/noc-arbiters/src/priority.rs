@@ -42,16 +42,6 @@ impl<P: PriorityPolicy> MaxPriorityArbiter<P> {
     pub fn new(policy: P) -> Self {
         MaxPriorityArbiter { policy }
     }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Consumes the adapter, returning the wrapped policy.
-    pub fn into_policy(self) -> P {
-        self.policy
-    }
 }
 
 impl<P: PriorityPolicy> Arbiter for MaxPriorityArbiter<P> {

@@ -2,51 +2,30 @@
 
 use noc_sim::{Arbiter, Candidate, OutputCtx, SplitMix64};
 
-/// How a candidate's hop count is turned into a lottery weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Weighting {
-    /// Weight = `hop_count + 1`.
-    Linear,
-    /// Weight = `(hop_count + 1)²`.
-    Quadratic,
-    /// Weight = `2^min(hop_count, 15)` — the aggressive setting that gives
-    /// the strongest equality-of-service in the original proposal.
-    Exponential,
-}
-
 /// Probabilistic distance-based arbitration ("ProbDist" in the paper's
 /// Figs. 9–11): each competing message enters a weighted lottery where the
 /// weight grows with the number of hops the message has already traversed.
 /// Messages that traveled farther are statistically favored, approximating
 /// age-based equality of service without global timestamps.
+///
+/// The weighting is exponential in distance, `2^min(hop_count, 15)`: the
+/// aggressive setting that gives the strongest equality of service in the
+/// original proposal.
 #[derive(Debug, Clone)]
 pub struct ProbDistArbiter {
-    weighting: Weighting,
     rng: SplitMix64,
 }
 
 impl ProbDistArbiter {
-    /// Creates the arbiter with [`Weighting::Exponential`] (the paper's
-    /// reference configuration).
+    /// Creates the arbiter with its lottery stream seeded by `seed`.
     pub fn new(seed: u64) -> Self {
-        ProbDistArbiter::with_weighting(Weighting::Exponential, seed)
-    }
-
-    /// Creates the arbiter with an explicit weighting function.
-    pub fn with_weighting(weighting: Weighting, seed: u64) -> Self {
         ProbDistArbiter {
-            weighting,
             rng: SplitMix64::new(seed),
         }
     }
 
-    fn weight(&self, c: &Candidate) -> u64 {
-        let h = c.features.hop_count as u64;
-        match self.weighting {
-            Weighting::Linear => h + 1,
-            Weighting::Quadratic => (h + 1) * (h + 1),
-            Weighting::Exponential => 1u64 << h.min(15),
-        }
+    fn weight(c: &Candidate) -> u64 {
+        1u64 << c.features.hop_count.min(15)
     }
 }
 
@@ -59,10 +38,10 @@ impl Arbiter for ProbDistArbiter {
         if ctx.candidates.is_empty() {
             return None;
         }
-        let total: u64 = ctx.candidates.iter().map(|c| self.weight(c)).sum();
+        let total: u64 = ctx.candidates.iter().map(Self::weight).sum();
         let mut draw = self.rng.next_bounded(total);
         for (i, c) in ctx.candidates.iter().enumerate() {
-            let w = self.weight(c);
+            let w = Self::weight(c);
             if draw < w {
                 return Some(i);
             }
@@ -72,8 +51,7 @@ impl Arbiter for ProbDistArbiter {
     }
 
     fn checkpoint_state(&self) -> Option<String> {
-        // The weighting function is a constructor parameter; the RNG
-        // stream is the only mutable state.
+        // The RNG stream is the only state.
         Some(self.rng.state().to_string())
     }
 
@@ -115,7 +93,7 @@ mod tests {
         }
     }
 
-    fn run_lottery(weighting: Weighting, hops: &[u32], trials: usize) -> Vec<usize> {
+    fn run_lottery(hops: &[u32], trials: usize) -> Vec<usize> {
         let net = NetSnapshot::default();
         let cands: Vec<Candidate> = hops.iter().enumerate().map(|(i, &h)| cand(i, h)).collect();
         let ctx = OutputCtx {
@@ -127,7 +105,7 @@ mod tests {
             candidates: &cands,
             net: &net,
         };
-        let mut arb = ProbDistArbiter::with_weighting(weighting, 99);
+        let mut arb = ProbDistArbiter::new(99);
         let mut counts = vec![0usize; hops.len()];
         for _ in 0..trials {
             counts[arb.select(&ctx).unwrap()] += 1;
@@ -137,27 +115,29 @@ mod tests {
 
     #[test]
     fn farther_travelers_win_more_often() {
-        let counts = run_lottery(Weighting::Exponential, &[0, 6], 2000);
+        let counts = run_lottery(&[0, 6], 2000);
         // Weights 1 vs 64: the long-haul message should win ~98% of draws.
         assert!(counts[1] > 1800, "long-haul won only {} of 2000", counts[1]);
     }
 
     #[test]
-    fn linear_weighting_is_gentler_than_exponential() {
-        let lin = run_lottery(Weighting::Linear, &[0, 6], 4000);
-        let exp = run_lottery(Weighting::Exponential, &[0, 6], 4000);
-        assert!(lin[0] > exp[0], "linear should give short-haul more wins");
+    fn weight_is_exponential_in_hops() {
+        for hops in 0..=15 {
+            assert_eq!(ProbDistArbiter::weight(&cand(0, hops)), 1 << hops);
+        }
     }
 
     #[test]
     fn equal_hops_split_roughly_evenly() {
-        let counts = run_lottery(Weighting::Exponential, &[3, 3], 4000);
+        let counts = run_lottery(&[3, 3], 4000);
         assert!((1600..2400).contains(&counts[0]), "split {counts:?}");
     }
 
     #[test]
     fn exponential_weight_saturates() {
-        let arb = ProbDistArbiter::new(1);
-        assert_eq!(arb.weight(&cand(0, 15)), arb.weight(&cand(0, 40)));
+        assert_eq!(
+            ProbDistArbiter::weight(&cand(0, 15)),
+            ProbDistArbiter::weight(&cand(0, 40))
+        );
     }
 }

@@ -88,13 +88,8 @@ impl AgentConfig {
         AgentConfig::base(15, seed)
     }
 
-    /// The §4.6 APU configuration (42 hidden neurons).
-    pub fn paper_apu(seed: u64) -> Self {
-        AgentConfig::base(42, seed)
-    }
-
     /// Hyperparameters tuned *for this reproduction's substrate* (the
-    /// paper's §3.2/§4.6 values are kept in the `paper_*` constructors).
+    /// paper's §3.2 values are kept in [`AgentConfig::paper_synthetic`]).
     /// Tuning the learning rate, batch size, discount factor and
     /// exploration rate was — exactly as the paper warns — a substantial
     /// human effort; the decisive change was lowering γ from 0.9 to 0.2 so
@@ -470,24 +465,9 @@ impl SharedAgent {
         }
     }
 
-    /// An arbiter handle that only exploits (no exploration, no training)
-    /// but still shares the live network.
-    pub fn greedy_arbiter(&self) -> RlAgentArbiter {
-        RlAgentArbiter {
-            agent: Rc::clone(&self.0),
-            train: false,
-            scratch: InferenceScratch::default(),
-        }
-    }
-
     /// Runs a closure with the agent borrowed.
     pub fn with<R>(&self, f: impl FnOnce(&DqnAgent) -> R) -> R {
         f(&self.0.borrow())
-    }
-
-    /// Runs a closure with the agent mutably borrowed.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut DqnAgent) -> R) -> R {
-        f(&mut self.0.borrow_mut())
     }
 
     /// Recovers the agent once all other handles are dropped.
@@ -733,11 +713,6 @@ impl NnPolicyArbiter {
         self
     }
 
-    /// The active inference datapath.
-    pub fn inference_mode(&self) -> InferenceMode {
-        self.mode
-    }
-
     /// The underlying network (e.g. for interpretability analysis).
     pub fn network(&self) -> &Mlp {
         &self.net
@@ -746,12 +721,6 @@ impl NnPolicyArbiter {
     /// The state encoder.
     pub fn encoder(&self) -> &StateEncoder {
         &self.encoder
-    }
-
-    /// The INT8 network, if the arbiter was switched to
-    /// [`InferenceMode::Int8`].
-    pub fn quantized(&self) -> Option<&QuantizedMlp> {
-        self.qnet.as_ref()
     }
 
     /// Scalar (unbatched) greedy decision on the active datapath.

@@ -12,7 +12,8 @@
 //! as [`greedy_climb`] over an arbitrary candidate type and evaluation
 //! function; the experiment layer's design-space search reuses the same
 //! procedure over configuration axes (`bench::exp::search`), and
-//! [`hill_climb`] is its feature-selection instantiation.
+//! [`hill_climb`] is its feature-selection instantiation: it returns the
+//! same [`ClimbOutcome`], whose values are settled latencies.
 
 use crate::features::{Feature, FeatureSet};
 use crate::train::{train_synthetic, TrainSpec};
@@ -108,26 +109,6 @@ where
     ClimbOutcome { selected: best_set, value: best_value, history }
 }
 
-/// One evaluated feature set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Evaluation {
-    /// The features trained with.
-    pub features: Vec<Feature>,
-    /// Mean latency over the last quarter of the training curve.
-    pub latency: f64,
-}
-
-/// Result of a hill-climbing search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HillClimbResult {
-    /// The selected feature set, in the order features were adopted.
-    pub selected: Vec<Feature>,
-    /// Final latency of the selected set.
-    pub latency: f64,
-    /// Every evaluation performed, in order.
-    pub history: Vec<Evaluation>,
-}
-
 fn settled_latency(spec: &TrainSpec) -> f64 {
     let out = train_synthetic(spec);
     let q = (out.curve.len() / 4).max(1);
@@ -139,28 +120,24 @@ fn settled_latency(spec: &TrainSpec) -> f64 {
 /// training on `base` (whose `features` field is replaced per evaluation) —
 /// [`greedy_climb`] instantiated with train-and-measure as the objective.
 /// An addition is kept when it improves the settled latency by at least
-/// `min_gain` (relative, e.g. `0.02` = 2%).
+/// `min_gain` (relative, e.g. `0.02` = 2%). Every `value` in the outcome is
+/// a settled latency: the mean over the last quarter of the training curve.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
-pub fn hill_climb(base: &TrainSpec, candidates: &[Feature], min_gain: f64) -> HillClimbResult {
-    let out = greedy_climb(candidates, min_gain, |features: &[Feature]| {
+pub fn hill_climb(
+    base: &TrainSpec,
+    candidates: &[Feature],
+    min_gain: f64,
+) -> ClimbOutcome<Feature> {
+    greedy_climb(candidates, min_gain, |features: &[Feature]| {
         let spec = TrainSpec {
             features: FeatureSet::from_features(features),
             ..base.clone()
         };
         settled_latency(&spec)
-    });
-    HillClimbResult {
-        selected: out.selected,
-        latency: out.value,
-        history: out
-            .history
-            .into_iter()
-            .map(|s| Evaluation { features: s.set, latency: s.value })
-            .collect(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -196,13 +173,13 @@ mod tests {
         assert_eq!(result.selected.len(), 1);
         // Round 1 (2 evals) + round 2 (1 eval of the remaining feature).
         assert_eq!(result.history.len(), 3);
-        assert!(result.latency.is_finite());
+        assert!(result.value.is_finite());
     }
 
     #[test]
     fn history_records_feature_sets() {
         let result = hill_climb(&tiny_spec(), &[Feature::PayloadSize], 0.01);
-        assert_eq!(result.history[0].features, vec![Feature::PayloadSize]);
+        assert_eq!(result.history[0].set, vec![Feature::PayloadSize]);
         assert_eq!(result.selected, vec![Feature::PayloadSize]);
     }
 

@@ -56,9 +56,7 @@ pub use ckpt::{
 };
 pub use env::{ApuEnv, ApuTrainSpec, SyntheticEnv, TrainEnv, TrainRecipe};
 pub use features::{Feature, FeatureSet, StateEncoder};
-pub use hillclimb::{
-    greedy_climb, hill_climb, ClimbOutcome, ClimbStep, Evaluation, HillClimbResult,
-};
+pub use hillclimb::{greedy_climb, hill_climb, ClimbOutcome, ClimbStep};
 pub use interpret::{weight_heatmap, Heatmap};
 pub use multi::{MultiAgentArbiter, PartitionedAgents};
 pub use online::OnlinePolicy;

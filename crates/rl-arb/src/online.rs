@@ -33,7 +33,6 @@ use noc_sim::{Arbiter, NetSnapshot, OutputCtx, SplitMix64};
 use std::collections::BTreeMap;
 
 use crate::agent::{greedy_choice_with, AgentConfig, InferenceScratch};
-use crate::ckpt::{encoder_from_checkpoint, Checkpoint};
 use crate::features::StateEncoder;
 use crate::replay::Experience;
 
@@ -55,10 +54,9 @@ struct Pending {
 
 /// A continually learning DQN arbitration policy (see the module docs).
 ///
-/// Construct with [`OnlinePolicy::new`] from an explicit network (cold
-/// start or a hand-built warm start) or with
-/// [`OnlinePolicy::from_checkpoint`] to resume learning from a trained
-/// artifact. Hyperparameters reuse [`AgentConfig`]; `double_dqn` and
+/// Construct with [`OnlinePolicy::new`] from an explicit network: a cold
+/// start, or a trained artifact's network to resume learning from it.
+/// Hyperparameters reuse [`AgentConfig`]; `double_dqn` and
 /// `prioritized` are ignored (the online path is plain DQN), and
 /// `replay_capacity` bounds the in-situ ring.
 #[derive(Debug, Clone)]
@@ -118,29 +116,6 @@ impl OnlinePolicy {
             cum_reward: 0.0,
             scratch: InferenceScratch::default(),
         }
-    }
-
-    /// Warm-starts online learning from a trained artifact: the
-    /// checkpoint's network and encoder, this run's hyperparameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for incomplete config entries or a model whose
-    /// shape does not match the reconstructed encoder.
-    pub fn from_checkpoint(ckpt: &Checkpoint, cfg: AgentConfig) -> Result<OnlinePolicy, String> {
-        let encoder = encoder_from_checkpoint(ckpt)?;
-        if ckpt.model.input_size() != encoder.state_width()
-            || ckpt.model.output_size() != encoder.num_slots()
-        {
-            return Err(format!(
-                "checkpoint model shape {}→{} does not match its encoder ({}→{})",
-                ckpt.model.input_size(),
-                ckpt.model.output_size(),
-                encoder.state_width(),
-                encoder.num_slots()
-            ));
-        }
-        Ok(OnlinePolicy::new(ckpt.model.clone(), encoder, cfg))
     }
 
     /// The live Q-network.

@@ -88,16 +88,6 @@ impl TrainSpec {
         }
     }
 
-    /// The §3.2 8×8 variant.
-    pub fn synthetic_8x8(seed: u64) -> Self {
-        TrainSpec {
-            width: 8,
-            height: 8,
-            injection_rate: 0.10,
-            ..TrainSpec::synthetic_4x4(seed)
-        }
-    }
-
     /// Content hash of the recipe: FNV-1a 64 over the `Debug` encoding of
     /// this pure-data spec. Equal recipes hash equal; any field change
     /// (rates, hyperparameters, curriculum, seeds) changes the hash —

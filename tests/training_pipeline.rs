@@ -86,5 +86,5 @@ fn hill_climbing_runs_the_full_selection_loop() {
     let result = hill_climb(&spec, &[Feature::LocalAge, Feature::HopCount], 0.01);
     assert!(!result.selected.is_empty());
     assert!(result.history.len() >= 2);
-    assert!(result.latency.is_finite() && result.latency > 0.0);
+    assert!(result.value.is_finite() && result.value > 0.0);
 }
