@@ -112,3 +112,35 @@ fn a_snapshot_naming_a_router_that_does_not_exist_is_refused() {
     first.run(100);
     assert_eq!(format!("{:?}", resumed.stats()), format!("{:?}", first.stats()));
 }
+
+#[test]
+fn a_snapshot_with_a_longer_packet_on_a_link_restores_and_steps() {
+    let _guard = SIMULATING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut first = sim(4);
+    first.run(600);
+    let text = first.checkpoint().unwrap().to_json().to_string();
+
+    // Lengthen the first one-flit packet bound for a router,
+    // `[due,0,router,in_port,vnet,id,…]` with `len_flits` (field 11) 1,
+    // to two flits. Restore derives the downstream buffer's reservation
+    // from the packets on links, so the arrival finds credit for both.
+    let (head, tail) = text.split_at(text.find("\"arrivals\"").unwrap());
+    let arrivals = &tail[..tail.find("\"tx_ends_cursor\"").unwrap()];
+    let record = arrivals
+        .lines()
+        .find(|l| {
+            let fields: Vec<&str> = l.split(',').collect();
+            fields.get(1) == Some(&"0") && fields.get(11) == Some(&"1")
+        })
+        .expect("a one-flit packet bound for a router");
+    let mut fields: Vec<&str> = record.split(',').collect();
+    fields[11] = "2";
+    let longer = format!("{head}{}", tail.replacen(record, &fields.join(","), 1));
+
+    let mut resumed = sim(4);
+    resumed
+        .restore_checkpoint(&SimCheckpoint::from_json(&longer).unwrap())
+        .unwrap();
+    resumed.run(100);
+    assert_eq!(resumed.cycle(), 700);
+}
