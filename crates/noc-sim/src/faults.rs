@@ -351,6 +351,7 @@ impl FaultPlan {
 pub(crate) mod json {
     use crate::codec::Tree;
 
+    #[derive(Debug, Clone)]
     pub(crate) enum Value {
         Num(u64),
         Str(String),
