@@ -124,10 +124,9 @@ impl AgentConfig {
     }
 
     /// Serializes the hyperparameters as ordered `agent.*` key/value
-    /// strings for the checkpoint `config` section. Floats use Rust's
-    /// shortest round-trip form, so
-    /// [`from_config_entries`](AgentConfig::from_config_entries) restores
-    /// the exact configuration.
+    /// strings for the checkpoint `config` section, where they record
+    /// what trained the stored network. Floats use Rust's shortest
+    /// round-trip form.
     pub fn config_entries(&self) -> Vec<(String, String)> {
         let float = |v: f64| format!("{v:?}");
         vec![
@@ -150,48 +149,6 @@ impl AgentConfig {
             ),
             ("agent.seed".into(), self.seed.to_string()),
         ]
-    }
-
-    /// Reconstructs a configuration from checkpoint `config` entries —
-    /// the inverse of [`AgentConfig::config_entries`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or unparseable entry.
-    pub fn from_config_entries(entries: &[(String, String)]) -> Result<AgentConfig, String> {
-        fn get<'a>(entries: &'a [(String, String)], key: &str) -> Result<&'a str, String> {
-            entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("checkpoint config missing '{key}'"))
-        }
-        fn num<T: std::str::FromStr>(entries: &[(String, String)], key: &str) -> Result<T, String> {
-            get(entries, key)?
-                .parse()
-                .map_err(|_| format!("bad value for '{key}'"))
-        }
-        let prioritized = match get(entries, "agent.prioritized")? {
-            "none" => None,
-            v => Some(
-                v.parse()
-                    .map_err(|_| "bad value for 'agent.prioritized'".to_string())?,
-            ),
-        };
-        Ok(AgentConfig {
-            hidden: num(entries, "agent.hidden")?,
-            lr: num(entries, "agent.lr")?,
-            gamma: num(entries, "agent.gamma")?,
-            epsilon: num(entries, "agent.epsilon")?,
-            batch_size: num(entries, "agent.batch_size")?,
-            replay_capacity: num(entries, "agent.replay_capacity")?,
-            target_sync_period: num(entries, "agent.target_sync_period")?,
-            grad_clip: num(entries, "agent.grad_clip")?,
-            reward: get(entries, "agent.reward")?.parse()?,
-            double_dqn: num(entries, "agent.double_dqn")?,
-            prioritized,
-            seed: num(entries, "agent.seed")?,
-        })
     }
 
     /// Replaces the reward function.

@@ -15,7 +15,7 @@ use noc_arbiters::RlInspiredSynthetic;
 use noc_sim::codec::{json_num, json_str, Json, ObjExt};
 use noc_sim::FeatureBounds;
 
-use crate::agent::{AgentConfig, NnPolicyArbiter};
+use crate::agent::NnPolicyArbiter;
 use crate::features::{Feature, FeatureSet, StateEncoder};
 use crate::interpret::weight_heatmap;
 use crate::train::TrainOutcome;
@@ -260,16 +260,6 @@ pub fn encoder_from_checkpoint(ckpt: &Checkpoint) -> Result<StateEncoder, String
     ))
 }
 
-/// Reconstructs the agent hyperparameters stored in a checkpoint.
-///
-/// # Errors
-///
-/// Returns a description of the first missing or unparseable `agent.*`
-/// entry.
-pub fn agent_config_from_checkpoint(ckpt: &Checkpoint) -> Result<AgentConfig, String> {
-    AgentConfig::from_config_entries(&ckpt.config)
-}
-
 /// Rebuilds the frozen "NN" evaluation policy from a checkpoint —
 /// byte-equivalent to freezing the just-trained agent, with zero training
 /// steps.
@@ -349,8 +339,6 @@ mod tests {
         let json = ckpt.to_json();
         let back = Checkpoint::from_json(&json).unwrap();
         assert_eq!(back, ckpt);
-        // Agent config round-trips exactly.
-        assert_eq!(agent_config_from_checkpoint(&back).unwrap(), *out.agent.config());
         // Encoder round-trips exactly.
         assert_eq!(encoder_from_checkpoint(&back).unwrap(), *out.agent.encoder());
         // Weights round-trip exactly.

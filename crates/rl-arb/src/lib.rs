@@ -51,8 +51,8 @@ mod vc_ctl;
 
 pub use agent::{AgentConfig, DqnAgent, InferenceMode, NnPolicyArbiter, RlAgentArbiter, SharedAgent};
 pub use ckpt::{
-    agent_config_from_checkpoint, checkpoint_from_outcome, distill_checkpoint,
-    encoder_from_checkpoint, policy_from_checkpoint, Checkpoint, CHECKPOINT_SCHEMA_VERSION,
+    checkpoint_from_outcome, distill_checkpoint, encoder_from_checkpoint, policy_from_checkpoint,
+    Checkpoint, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use env::{ApuEnv, ApuTrainSpec, SyntheticEnv, TrainEnv, TrainRecipe};
 pub use features::{Feature, FeatureSet, StateEncoder};
