@@ -170,7 +170,7 @@ impl OnlinePolicy {
     /// stream position.
     fn draw(&mut self) -> SplitMix64 {
         let s = SplitMix64::new(self.rng_key ^ self.rng_ctr.wrapping_mul(RNG_STREAM_MIX));
-        self.rng_ctr += 1;
+        self.rng_ctr = self.rng_ctr.wrapping_add(1);
         s
     }
 
@@ -208,13 +208,13 @@ impl Arbiter for OnlinePolicy {
 
     fn select(&mut self, ctx: &OutputCtx<'_>) -> Option<usize> {
         let eps = self.epsilon_now();
-        self.decisions += 1;
+        self.decisions = self.decisions.wrapping_add(1);
         // With ε₀ == 0 no stream is consumed, so the zero-exploration
         // policy is draw-for-draw identical to the frozen arbiter.
         let chosen = if eps > 0.0 {
             let mut s = self.draw();
             if s.next_f64() < eps {
-                self.explored += 1;
+                self.explored = self.explored.wrapping_add(1);
                 s.next_bounded(ctx.candidates.len() as u64) as usize
             } else {
                 greedy_choice_with(&self.net, &self.encoder, ctx, &mut self.scratch)
@@ -259,7 +259,7 @@ impl Arbiter for OnlinePolicy {
         for _ in 0..self.cfg.batch_size {
             self.train_one();
         }
-        self.train_ticks += 1;
+        self.train_ticks = self.train_ticks.wrapping_add(1);
         if self
             .train_ticks
             .is_multiple_of(self.cfg.target_sync_period.max(1))
@@ -629,6 +629,29 @@ mod tests {
             p.checkpoint_state().unwrap(),
             q.checkpoint_state().unwrap()
         );
+    }
+
+    #[test]
+    fn counters_restored_at_u64_max_wrap() {
+        // An ε this large explores even at the decayed rate, so the
+        // decision bumps `explored` as well as `decisions` and `rng_ctr`.
+        let mut p = policy(0.05, f64::MAX, 4);
+        let snap = NetSnapshot::default();
+        let cands = vec![cand(0, 5, 10), cand(4, 1, 2)];
+        p.select(&ctx(&cands, &snap, 0));
+        p.select(&ctx(&cands, &snap, 1));
+        let state = p.checkpoint_state().unwrap();
+        let mut parts: Vec<&str> = state.split('|').collect();
+        let counters: Vec<&str> = parts[1].split(';').collect();
+        let max = u64::MAX;
+        let at_max = format!("{max};{max};{max};{max};{};{}", counters[4], counters[5]);
+        parts[1] = &at_max;
+        p.restore_state(&parts.join("|")).unwrap();
+
+        p.select(&ctx(&cands, &snap, 2));
+        p.end_cycle(&snap);
+        assert_eq!((p.decisions(), p.explored(), p.train_ticks()), (0, 0, 0));
+        assert_eq!(p.rng_ctr, p.cfg.batch_size as u64);
     }
 
     #[test]

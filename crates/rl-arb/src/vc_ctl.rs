@@ -86,7 +86,7 @@ impl RlVcController {
 
     fn draw(&mut self) -> SplitMix64 {
         let s = SplitMix64::new(self.rng_key ^ self.rng_ctr.wrapping_mul(RNG_STREAM_MIX));
-        self.rng_ctr += 1;
+        self.rng_ctr = self.rng_ctr.wrapping_add(1);
         s
     }
 
@@ -130,7 +130,7 @@ impl BufferController for RlVcController {
             let arm = if self.epsilon > 0.0 {
                 let mut s = self.draw();
                 if s.next_f64() < self.epsilon {
-                    self.explored += 1;
+                    self.explored = self.explored.wrapping_add(1);
                     s.next_bounded(2) as usize
                 } else {
                     usize::from(self.q[bi][1] > self.q[bi][0])
@@ -141,7 +141,7 @@ impl BufferController for RlVcController {
             self.last_arm[bi] = arm as u8;
             withhold[bi] = arm as u32 * self.withhold_flits;
         }
-        self.epochs += 1;
+        self.epochs = self.epochs.wrapping_add(1);
     }
 
     fn checkpoint_state(&self) -> Option<String> {
@@ -290,6 +290,17 @@ mod tests {
         let mut d = RlVcController::paper_default(1);
         d.restore_state(&state).expect("fresh state restorable");
         assert_eq!(d.checkpoint_state().unwrap(), state);
+    }
+
+    #[test]
+    fn counters_restored_at_u64_max_wrap() {
+        // ε = 1 explores on every VC, so the epoch bumps all three counters.
+        let mut c = RlVcController::new(16, 2, 1.0, 0.5, 3);
+        let max = u64::MAX;
+        c.restore_state(&format!("v1|{max};{max};{max}|-|-")).unwrap();
+        let mut w = vec![0u32; 1];
+        c.reallocate(0, &[usage(0, 8)], &mut w);
+        assert_eq!((c.epochs(), c.explored(), c.rng_ctr), (0, 0, 0));
     }
 
     #[test]
