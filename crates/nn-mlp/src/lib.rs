@@ -8,7 +8,8 @@
 //!
 //! * [`Mlp`] — feed-forward networks with per-sample SGD and gradient
 //!   clipping ([`Mlp::paper_agent`] builds the paper's sigmoid/ReLU shape).
-//! * [`DenseLayer`] — exposes raw weights for heatmap analysis.
+//! * [`DenseLayer`] — exposes every weight ([`DenseLayer::weight`]) for
+//!   heatmap analysis.
 //! * [`QuantizedMlp`] — INT8 post-training quantization, the inference
 //!   datapath costed in the paper's Table 3.
 //! * [`Mlp::to_text`] / [`Mlp::from_text`] — the `mlp v1` text format

@@ -160,12 +160,11 @@ impl Mlp {
     /// row-major layout.
     ///
     /// Row `r` of the result is **bit-identical** to
-    /// `self.forward_into(&inputs[r*w..(r+1)*w], ..)` — the batched kernel
-    /// changes only the loop order across samples, never the per-element
-    /// accumulation order (see [`crate::DenseLayer::forward_batch_into`]).
-    /// The NoC arbiter relies on this to batch every contended output port
-    /// of a router into one network pass per cycle without perturbing a
-    /// single decision.
+    /// `self.forward_into(&inputs[r*w..(r+1)*w], ..)`: every row runs
+    /// through the same per-layer kernel (see
+    /// [`crate::DenseLayer::forward_batch_into`]). The NoC arbiter relies
+    /// on this to batch every contended output port of a router into one
+    /// network pass per cycle without perturbing a single decision.
     ///
     /// The same [`Scratch`] type serves scalar and batched calls; buffers
     /// grow to `rows × widest layer` on first use and are reused thereafter.
@@ -207,6 +206,18 @@ impl Mlp {
         acts
     }
 
+    /// Backpropagates `grad` (the loss gradient w.r.t. the output) through
+    /// the layers, last first, updating each one. `acts` is
+    /// [`Mlp::forward_trace`]'s. The first layer's input gradient has no
+    /// reader, so it is not computed.
+    fn backprop(&mut self, acts: &[Vec<f64>], mut grad: Vec<f64>, lr: f64, clip: f64) {
+        let (first, rest) = self.layers.split_first_mut().expect("Mlp has at least one layer");
+        for (idx, layer) in rest.iter_mut().enumerate().rev() {
+            grad = layer.backward(&acts[idx + 1], &acts[idx + 2], &grad, lr, clip);
+        }
+        first.step(&acts[0], &acts[1], &grad, lr, clip, None);
+    }
+
     /// One SGD step on squared error against `target`, returning the
     /// pre-update mean squared error. Gradients are clipped per element at
     /// `clip` (the paper found large unnormalized values destabilize
@@ -220,7 +231,7 @@ impl Mlp {
         let acts = self.forward_trace(input);
         let out = acts.last().unwrap();
         let n = out.len() as f64;
-        let mut grad: Vec<f64> = out
+        let grad: Vec<f64> = out
             .iter()
             .zip(target)
             .map(|(y, t)| 2.0 * (y - t) / n)
@@ -231,9 +242,7 @@ impl Mlp {
             .map(|(y, t)| (y - t) * (y - t))
             .sum::<f64>()
             / n;
-        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward(&acts[idx], &acts[idx + 1], &grad, lr, clip);
-        }
+        self.backprop(&acts, grad, lr, clip);
         mse
     }
 
@@ -250,15 +259,13 @@ impl Mlp {
         assert_eq!(target.len(), self.output_size(), "target width mismatch");
         let acts = self.forward_trace(input);
         let out = acts.last().unwrap();
-        let mut grad: Vec<f64> = out.iter().zip(target).map(|(y, t)| 2.0 * (y - t)).collect();
+        let grad: Vec<f64> = out.iter().zip(target).map(|(y, t)| 2.0 * (y - t)).collect();
         let sse: f64 = out
             .iter()
             .zip(target)
             .map(|(y, t)| (y - t) * (y - t))
             .sum::<f64>();
-        for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward(&acts[idx], &acts[idx + 1], &grad, lr, clip);
-        }
+        self.backprop(&acts, grad, lr, clip);
         sse
     }
 

@@ -108,14 +108,15 @@ impl QuantizedMlp {
             .layers()
             .iter()
             .map(|l| {
-                let max = l
-                    .weights()
+                let row_major: Vec<f64> = (0..l.outputs())
+                    .flat_map(|o| (0..l.inputs()).map(move |i| l.weight(o, i)))
+                    .collect();
+                let max = row_major
                     .iter()
                     .fold(0.0_f64, |m, w| m.max(w.abs()))
                     .max(1e-12);
                 let scale = max / 127.0;
-                let weights_q = l
-                    .weights()
+                let weights_q = row_major
                     .iter()
                     .map(|w| (w / scale).round().clamp(-127.0, 127.0) as i8)
                     .collect();
