@@ -136,7 +136,9 @@ impl Mlp {
                 .collect()
         };
 
-        let mut layers = Vec::with_capacity(num_layers);
+        // Sizes come from the text, so nothing is reserved beyond what the
+        // text itself can hold.
+        let mut layers = Vec::new();
         for _ in 0..num_layers {
             let (n, meta) = next("layer header")?;
             let parts: Vec<&str> = meta.split_whitespace().collect();
@@ -161,7 +163,12 @@ impl Mlp {
                 });
             }
             let activation = activation_from(parts[3], n)?;
-            let mut weights = Vec::with_capacity(inputs * outputs);
+            let count = inputs.checked_mul(outputs).ok_or_else(|| ParseModelError {
+                line: n,
+                message: format!("layer of {inputs} x {outputs} weights is too large"),
+            })?;
+            // Every weight takes at least two bytes of text (" 0").
+            let mut weights = Vec::with_capacity(count.min(text.len() / 2));
             for _ in 0..outputs {
                 let (wn, wline) = next("weight row")?;
                 let row = parse_floats(&wline, wn, 'w')?;

@@ -51,3 +51,20 @@ fn golden_inputs_parse() {
     let back = Mlp::from_text(&model.to_text()).expect("model text round-trips");
     assert_eq!(model.to_text(), back.to_text());
 }
+
+/// Headers that promise more weights or layers than the text holds are
+/// parse errors: the reader neither overflows `inputs * outputs` nor
+/// reserves memory the text cannot fill.
+#[test]
+fn oversized_headers_are_parse_errors() {
+    for text in [
+        // 2^40 × 2^20 weights: the product overflows `usize`.
+        "mlp v1\nlayers 1\nlayer 1099511627776 1048576 relu\n",
+        // 10^18 layers, one of them present.
+        "mlp v1\nlayers 1000000000000000000\nlayer 2 1 relu\nw 1 1\nb 0\n",
+        // 10^16 weights: representable, far more than the text holds.
+        "mlp v1\nlayers 1\nlayer 100000000 100000000 relu\nw 1\n",
+    ] {
+        assert!(Mlp::from_text(text).is_err(), "{text:?} parsed");
+    }
+}
