@@ -417,8 +417,6 @@ impl SharedAgent {
     pub fn training_arbiter(&self) -> RlAgentArbiter {
         RlAgentArbiter {
             agent: Rc::clone(&self.0),
-            train: true,
-            scratch: InferenceScratch::default(),
         }
     }
 
@@ -443,43 +441,25 @@ impl SharedAgent {
 #[derive(Debug)]
 pub struct RlAgentArbiter {
     agent: Rc<RefCell<DqnAgent>>,
-    train: bool,
-    scratch: InferenceScratch,
 }
 
 impl Arbiter for RlAgentArbiter {
     fn name(&self) -> String {
-        if self.train {
-            "RL-agent (training)".into()
-        } else {
-            "RL-agent".into()
-        }
+        "RL-agent (training)".into()
     }
 
     fn select(&mut self, ctx: &OutputCtx<'_>) -> Option<usize> {
-        let mut agent = self.agent.borrow_mut();
-        if self.train {
-            Some(agent.decide(ctx))
-        } else {
-            Some(greedy_choice_with(
-                &agent.net,
-                &agent.encoder,
-                ctx,
-                &mut self.scratch,
-            ))
-        }
+        Some(self.agent.borrow_mut().decide(ctx))
     }
 
     fn end_cycle(&mut self, _net: &NetSnapshot) {
-        if self.train {
-            self.agent.borrow_mut().train_tick();
-        }
+        self.agent.borrow_mut().train_tick();
     }
 
     fn checkpoint_state(&self) -> Option<String> {
         // The shared DQN agent mutates its replay buffer, exploration RNG,
-        // and network weights mid-run (and the frozen path still shares the
-        // agent handle); none of that has a stable serialization here.
+        // and network weights mid-run; none of that has a stable
+        // serialization here.
         None
     }
 }
