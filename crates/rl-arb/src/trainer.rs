@@ -105,16 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn trainer_counts_epochs_globally() {
-        let before = training_epochs();
-        let out = Trainer::new(quick_spec(3).agent.clone())
-            .run(&mut SyntheticEnv::new(&quick_spec(3)));
-        assert_eq!(out.curve.len(), 10);
-        assert_eq!(training_epochs() - before, 10);
-        assert_eq!(out.converged, None, "no early stop armed");
-    }
-
-    #[test]
     fn early_stop_truncates_a_flat_curve_and_records_convergence() {
         /// An environment with a constant-latency curve: converges as soon
         /// as the criterion has enough samples (8), regardless of agent.
