@@ -1,5 +1,6 @@
 //! Probabilistic distance-based arbitration (Lee et al., MICRO 2010).
 
+use noc_sim::codec::Words;
 use noc_sim::{Arbiter, Candidate, OutputCtx, SplitMix64};
 
 /// Probabilistic distance-based arbitration ("ProbDist" in the paper's
@@ -52,14 +53,14 @@ impl Arbiter for ProbDistArbiter {
 
     fn checkpoint_state(&self) -> Option<String> {
         // The RNG stream is the only state.
-        Some(self.rng.state().to_string())
+        Some(Words::default().u64(self.rng.state()).finish())
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let s: u64 = state
-            .parse()
-            .map_err(|_| format!("bad prob-dist rng state {state:?}"))?;
-        self.rng = SplitMix64::new(s);
+        let mut r = Words::read("ProbDist", state);
+        let rng = r.u64("rng state")?;
+        r.end()?;
+        self.rng = SplitMix64::new(rng);
         Ok(())
     }
 }

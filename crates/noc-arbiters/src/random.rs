@@ -1,5 +1,6 @@
 //! Uniform-random arbitration (sanity baseline).
 
+use noc_sim::codec::Words;
 use noc_sim::{Arbiter, OutputCtx, SplitMix64};
 
 /// Grants a uniformly random competing buffer. Not evaluated in the paper,
@@ -32,14 +33,14 @@ impl Arbiter for RandomArbiter {
 
     fn checkpoint_state(&self) -> Option<String> {
         // The RNG stream is the only mutable state.
-        Some(self.rng.state().to_string())
+        Some(Words::default().u64(self.rng.state()).finish())
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        let s: u64 = state
-            .parse()
-            .map_err(|_| format!("bad random-arbiter rng state {state:?}"))?;
-        self.rng = SplitMix64::new(s);
+        let mut r = Words::read("random", state);
+        let rng = r.u64("rng state")?;
+        r.end()?;
+        self.rng = SplitMix64::new(rng);
         Ok(())
     }
 }

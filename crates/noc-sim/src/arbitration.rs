@@ -5,6 +5,7 @@
 //! (paper Algorithm 1). Output ports with exactly one requester are granted
 //! directly without consulting the policy, matching §4.5 of the paper.
 
+use crate::codec::Words;
 use crate::types::{DestType, MsgType, NodeId, RouterId};
 
 /// The message features visible to an arbitration policy (paper Table 2).
@@ -180,30 +181,25 @@ pub trait Arbiter {
     /// Serializes the policy's mutable decision state for a simulator
     /// checkpoint (see [`crate::SimCheckpoint`]).
     ///
-    /// Returns `Some(state)` — an opaque, escape-free string a later
-    /// [`Arbiter::restore_state`] on a freshly constructed instance of the
-    /// same policy accepts — or `None` when the policy cannot be
+    /// Returns `Some(state)`, written with [`crate::codec::Words`], that a
+    /// later [`Arbiter::restore_state`] on a freshly constructed instance
+    /// of the same policy accepts, or `None` when the policy cannot be
     /// checkpointed (e.g. a training agent whose state is not practically
-    /// serializable). The default, `Some("")`, is correct for *stateless*
-    /// policies only; any arbiter with cross-cycle mutable state (pointers,
-    /// RNGs, toggles) must override both methods or checkpointed runs will
-    /// silently diverge from uninterrupted ones.
+    /// serializable). The default, `Some("")` (no words), is correct for
+    /// *stateless* policies only; any arbiter with cross-cycle mutable
+    /// state (pointers, RNGs, toggles) must override both methods or
+    /// checkpointed runs will silently diverge from uninterrupted ones.
     fn checkpoint_state(&self) -> Option<String> {
         Some(String::new())
     }
 
     /// Restores state produced by [`Arbiter::checkpoint_state`] on an
-    /// equally configured, freshly constructed policy. The default accepts
-    /// only the stateless empty string.
+    /// equally configured, freshly constructed policy, reading it with
+    /// [`crate::codec::WordReader`]. Every in-tree policy parses the whole
+    /// state before it assigns, so on `Err` it is unchanged. The default
+    /// accepts only the stateless empty state.
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "arbiter '{}' has no state to restore, got {state:?}",
-                self.name()
-            ))
-        }
+        Words::read(&self.name(), state).end()
     }
 }
 

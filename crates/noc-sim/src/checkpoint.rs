@@ -30,8 +30,10 @@ use crate::types::{DestType, MsgType, NodeId, RouterId};
 /// Checkpoint document schema version. Bumped whenever the layout
 /// changes incompatibly; [`SimCheckpoint::from_json`] rejects documents
 /// written by a different version instead of misinterpreting them.
-/// v3 drops the derived books and tallies.
-pub const CHECKPOINT_VERSION: u64 = 3;
+/// v3 dropped the derived books and tallies; v4 drops the network
+/// snapshot's cycle and in-flight count (both derived) and writes every
+/// checkpoint hook's state as [`crate::codec::Words`].
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 /// A serialized simulator snapshot (see the module docs for the format).
 ///

@@ -7,7 +7,9 @@
 //! each buffer's used flits from its packets and its reserved flits from
 //! the packets and credit returns bound for it, the queued count from
 //! the queues, the active link transmissions from the `tx_ends`
-//! counters, and the in-flight tallies from the packets in the network.
+//! counters, the in-flight tallies (and the network snapshot's in-flight
+//! count) from the packets in the network, and the network snapshot's
+//! cycle from the snapshot's own: the last step ran `cycle - 1`.
 
 use std::collections::VecDeque;
 
@@ -88,8 +90,8 @@ impl<T: TrafficSource> Simulator<T> {
         fn fnum(key: &str, v: u64) -> String {
             format!("\"{key}\": {v}")
         }
-        // The one string writer. Opaque arbiter/traffic/controller state
-        // is formatted from integers and `:;|` separators, so a quote,
+        // The one string writer. Arbiter, traffic and controller state is
+        // space-separated decimal words (`codec::Words`), so a quote,
         // backslash or control character is a bug in a `checkpoint_state`
         // implementation: refuse rather than emit an unreadable document.
         fn fstr(key: &str, v: &str) -> Result<String, String> {
@@ -131,7 +133,6 @@ impl<T: TrafficSource> Simulator<T> {
         ];
         fields.push(fnum("period_lat_sum", self.period_lat_sum));
         fields.push(fnum("period_delivered", self.period_delivered));
-        fields.push(fnum("net_cycle", self.net.cycle));
         fields.push(fnum(
             "net_link_util_bits",
             self.net.link_utilization_prev.to_bits(),
@@ -140,7 +141,6 @@ impl<T: TrafficSource> Simulator<T> {
             "net_acc_lat_bits",
             self.net.avg_accumulated_latency.to_bits(),
         ));
-        fields.push(fnum("net_in_flight", self.net.in_flight_packets as u64));
         fields.push(fnum("lat_ema_q16", self.lat_ema_q16));
         fields.push(fnum("recov_baseline_q16", self.recov_baseline_q16));
         fields.push(fnum("recov_onset_cycle", self.recov_onset_cycle));
@@ -340,9 +340,12 @@ impl<T: TrafficSource> Simulator<T> {
     ///
     /// Restore is all-or-nothing for the simulator's own state: every
     /// record is parsed and validated into locals first, then the
-    /// controller, traffic and arbiter `restore_state` hooks run, and the
-    /// simulator's fields are assigned last. Each hook overwrites the whole
-    /// mutable state of its object when it returns `Ok`.
+    /// controller, traffic and arbiter `restore_state` hooks run, in that
+    /// order, and the simulator's fields are assigned last. Each hook
+    /// overwrites the whole mutable state of its object when it returns
+    /// `Ok`; each in-tree hook reads its state with
+    /// [`crate::codec::WordReader`] into locals first, so one that returns
+    /// `Err` leaves its object unchanged.
     ///
     /// # Errors
     ///
@@ -360,9 +363,10 @@ impl<T: TrafficSource> Simulator<T> {
     /// from the records they count (see the module docs), so they cannot
     /// disagree with them.
     /// On `Err` the simulator's own state is unchanged, so it can take
-    /// another `restore_checkpoint`. A hook that refuses its state string
-    /// may leave its object, and those whose hooks ran before it, changed;
-    /// a later successful restore overwrites them.
+    /// another `restore_checkpoint`. A hook that already restored its
+    /// object before a later hook refused is not rolled back (a refused
+    /// arbiter state leaves the controller and traffic source restored); a
+    /// later successful restore overwrites them.
     pub fn restore_checkpoint(&mut self, checkpoint: &SimCheckpoint) -> Result<(), String> {
         if self.cycle != 0 {
             return Err(format!(
@@ -459,14 +463,10 @@ impl<T: TrafficSource> Simulator<T> {
             num_mesh_links,
         };
 
-        // Network-global snapshot and scalar accounting.
-        let net = NetSnapshot {
-            cycle: num("net_cycle")?,
-            link_utilization_prev: f64::from_bits(num("net_link_util_bits")?),
-            avg_accumulated_latency: f64::from_bits(num("net_acc_lat_bits")?),
-            in_flight_packets: num("net_in_flight")? as usize,
-        };
+        // Scalar accounting.
         let cycle = num("cycle")?;
+        let link_utilization_prev = f64::from_bits(num("net_link_util_bits")?);
+        let avg_accumulated_latency = f64::from_bits(num("net_acc_lat_bits")?);
         let next_packet_id = num("next_packet_id")?;
         let period_lat_sum = num("period_lat_sum")?;
         let period_delivered = num("period_delivered")?;
@@ -755,7 +755,14 @@ impl<T: TrafficSource> Simulator<T> {
         self.arbiter.restore_state(arbiter_state)?;
 
         self.stats = stats;
-        self.net = net;
+        // Each step samples the cycle it runs and, after its deliveries
+        // and injections, the packets in the network.
+        self.net = NetSnapshot {
+            cycle: cycle.saturating_sub(1),
+            link_utilization_prev,
+            avg_accumulated_latency,
+            in_flight_packets: inflight_count as usize,
+        };
         self.cycle = cycle;
         self.next_packet_id = next_packet_id;
         self.active_mesh_tx = active_mesh_tx;

@@ -45,8 +45,9 @@ pub struct VcUsage {
 /// Implementations are installed with
 /// [`crate::Simulator::set_buffer_controller`] and follow the same
 /// checkpoint contract as [`crate::Arbiter`]: stateless controllers
-/// checkpoint for free via the defaults; stateful ones serialize their
-/// mutable state (and nothing construction-time) as an opaque string.
+/// checkpoint for free via the defaults; stateful ones write their
+/// mutable state (and nothing construction-time) with
+/// [`crate::codec::Words`].
 pub trait BufferController {
     /// Stable display name, recorded in checkpoints and cross-checked on
     /// restore. Must stay within the checkpoint codec's clean-string
@@ -74,21 +75,16 @@ pub trait BufferController {
     }
 
     /// Restores mutable state serialized by
-    /// [`BufferController::checkpoint_state`]. The default accepts only
-    /// the stateless empty string.
+    /// [`BufferController::checkpoint_state`], read with
+    /// [`crate::codec::WordReader`]. The default accepts only the
+    /// stateless empty state.
     ///
     /// # Errors
     ///
-    /// Returns a description of a malformed or mismatched state string.
+    /// Returns a description of a malformed or mismatched state string,
+    /// leaving the controller unchanged.
     fn restore_state(&mut self, state: &str) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "controller '{}' has no state to restore, got {state:?}",
-                self.name()
-            ))
-        }
+        crate::codec::Words::read(&self.name(), state).end()
     }
 }
 

@@ -376,12 +376,24 @@ fn snapshot_bytes_are_pinned() {
     let text = ck.to_json();
     assert_eq!(
         (noc_sim::codec::fnv1a64(text.as_bytes()), text.len()),
-        (0x6f9f034ad9caa04f, 44_594),
+        (0x905ae08e821c97b2, 44_557),
         "snapshot bytes moved"
     );
     let mut back = hooked();
     back.restore_checkpoint(&ck).unwrap();
     assert_eq!(back.checkpoint().unwrap().to_json(), text);
+}
+
+/// A snapshot of the previous version is refused by its version number.
+#[test]
+fn a_v3_snapshot_is_refused() {
+    let mut sim = mesh_sim(3, 0.15, Box::new(RoundRobinArbiter::new()));
+    sim.run(50);
+    let v4 = sim.checkpoint().unwrap().to_json().to_string();
+    let v3 = v4.replacen("\"version\": 4,", "\"version\": 3,", 1);
+    assert_ne!(v3, v4);
+    let err = SimCheckpoint::from_json(&v3).unwrap_err();
+    assert_eq!(err, "checkpoint version 3 not supported (expected 4)");
 }
 
 /// Restore refuses every record index that is out of range and every
