@@ -49,10 +49,14 @@ fn warm_figure_answers_from_the_cache_with_the_same_record() {
 }
 
 fn sim(seed: u64) -> Simulator<SyntheticTraffic> {
+    sim_with(PolicyKind::GlobalAge, seed)
+}
+
+fn sim_with(kind: PolicyKind, seed: u64) -> Simulator<SyntheticTraffic> {
     let topo = Topology::uniform_mesh(4, 4).unwrap();
     let cfg = SimConfig::synthetic(4, 4);
     let traffic = SyntheticTraffic::new(&topo, Pattern::UniformRandom, 0.2, cfg.num_vnets, seed);
-    Simulator::new(topo, cfg, make_arbiter(PolicyKind::GlobalAge, seed), traffic).unwrap()
+    Simulator::new(topo, cfg, make_arbiter(kind, seed), traffic).unwrap()
 }
 
 #[test]
@@ -143,4 +147,29 @@ fn a_snapshot_with_a_longer_packet_on_a_link_restores_and_steps() {
         .unwrap();
     resumed.run(100);
     assert_eq!(resumed.cycle(), 700);
+}
+
+#[test]
+fn a_round_robin_pointer_far_out_of_range_restores_and_steps() {
+    let _guard = SIMULATING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut first = sim_with(PolicyKind::RoundRobin, 4);
+    first.run(600);
+    let text = first.checkpoint().unwrap().to_json().to_string();
+
+    // The round-robin state is `n` and then `n` × (router, output,
+    // pointer) words. Set the first pointer to 1000; a router of this
+    // mesh rotates over 15 input slots.
+    let key = "\"arbiter\": \"";
+    let start = text.find(key).unwrap() + key.len();
+    let end = start + text[start..].find('"').unwrap();
+    let mut words: Vec<&str> = text[start..end].split(' ').collect();
+    words[3] = "1000";
+    let far = format!("{}{}{}", &text[..start], words.join(" "), &text[end..]);
+
+    let mut resumed = sim_with(PolicyKind::RoundRobin, 4);
+    resumed
+        .restore_checkpoint(&SimCheckpoint::from_json(&far).unwrap())
+        .unwrap();
+    resumed.run(300);
+    assert_eq!(resumed.cycle(), 900);
 }
